@@ -4,9 +4,22 @@ The search is fully deterministic: structured two- and three-point
 families first (these realize the closed-form constructions, including
 the exact ties that our lowest-index tie-breaking turns into attained
 maxima), then a full simplex grid for small spaces, then coordinate
-hill climbing with a halving step.  Everything runs in exact rational
-arithmetic, so re-evaluating a witness reproduces its value bit for
-bit.
+hill climbing with a halving step.
+
+Candidates are scored by an exact integer kernel.  The normalized cost
+matrix is scaled once by the least common denominator of its entries,
+and each candidate posterior is a vector of integer weights over a
+common denominator, so one pass of integer dot products gives all n
+expected costs up to a shared positive factor.  Their lowest-index
+minimum is the Bayes report and its cost; relative errors are compared
+by cross-multiplication.  Only the winning candidate becomes a
+``Posterior``, and it is re-scored with ``relative_error_exact`` and
+``bayes_estimate_exact``, which must agree with the kernel, so
+re-evaluating a witness reproduces its value bit for bit.
+
+The Bayes report has relative error 0 at every posterior, so no later
+candidate can beat the first one under the search's strict comparison:
+its worst case is that first candidate, returned without a search.
 """
 
 from __future__ import annotations
@@ -16,23 +29,20 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Union
+from operator import mul
+from typing import Callable, Sequence
 
 from .errors import CostRiskError, DimensionMismatchError, NotNormalizedError
-from .estimators import (
-    bayes_estimate_exact,
-    expected_cost_exact,
-    mean_estimate,
-    median_estimate,
-    mode_estimate,
-    nearest_state,
-)
+from .estimators import bayes_estimate_exact, expected_cost_exact, nearest_state
 from .model import CostMatrix, Posterior, StateSpace, to_fraction
-
-ExactValue = Union[Fraction, float]  # Fraction, or math.inf for unbounded
 
 #: Grid sizes beyond this are skipped with a notice rather than attempted.
 MAX_GRID_POINTS = 2_000_000
+
+#: Search budgets: a finer grid step or more refinement rounds than these
+#: is rejected up front instead of exhausting time or memory.
+MIN_RESOLUTION = 1e-4
+MAX_REFINE_ITERATIONS = 64
 
 ESTIMATORS = ("mode", "mean_snapped", "median", "bayes")
 
@@ -43,7 +53,9 @@ class SearchConfig:
 
     resolution is the coarse simplex grid step; epsilon parameterizes
     the limit-construction witnesses; support_cap bounds the structured
-    support size (2 = pairs only, >= 3 adds triples).
+    support size (2 = pairs only, >= 3 adds triples).  resolution and
+    refine_iterations are capped by MIN_RESOLUTION and
+    MAX_REFINE_ITERATIONS.
     """
 
     resolution: float = 0.05
@@ -52,12 +64,14 @@ class SearchConfig:
     epsilon: float = 1e-4
 
     def __post_init__(self):
-        if not 0 < self.resolution <= 0.5:
-            raise CostRiskError("resolution must be in (0, 0.5]")
+        if not MIN_RESOLUTION <= self.resolution <= 0.5:
+            raise CostRiskError(f"resolution must be in [{MIN_RESOLUTION}, 0.5]")
         if self.support_cap < 2:
             raise CostRiskError("support_cap must be at least 2")
-        if self.refine_iterations < 0:
-            raise CostRiskError("refine_iterations must be nonnegative")
+        if not 0 <= self.refine_iterations <= MAX_REFINE_ITERATIONS:
+            raise CostRiskError(
+                f"refine_iterations must be in [0, {MAX_REFINE_ITERATIONS}]"
+            )
         if not 0 < float(self.epsilon) < 1:
             raise CostRiskError("epsilon must be in (0, 1)")
 
@@ -79,7 +93,8 @@ class WorstCase:
 
 def relative_error_exact(
     estimate: int, post: Posterior, cost: CostMatrix
-) -> ExactValue:
+) -> Fraction | float:
+    """Exact relative error as a Fraction, or math.inf when unbounded."""
     if not cost.normalized:
         raise NotNormalizedError("relative error is defined on normalized costs")
     if len(post) != cost.size:
@@ -103,36 +118,52 @@ def relative_error(estimate: int, post: Posterior, cost: CostMatrix) -> float:
     return val if val == math.inf else float(val)
 
 
-def _estimator_fn(
-    name: str, cost: CostMatrix, space: StateSpace | None
-) -> Callable[[Posterior], int]:
+def _estimator_kernel(
+    name: str, space: StateSpace | None
+) -> Callable[[Sequence[int], int], int]:
+    """The estimator as a function of integer weights w over denominator d.
+
+    Each agrees with its counterpart in ``estimators`` on the posterior
+    w / d, tie-breaking included.
+    """
     if name == "mode":
-        return mode_estimate
-    if name == "bayes":
-        return lambda post: bayes_estimate_exact(post, cost)[0]
+        return lambda w, d: w.index(max(w))
     if name in ("mean_snapped", "median"):
         if space is None:
             raise CostRiskError(f"{name} estimation needs a state space")
-        space.require_embedding()
-        if name == "median":
-            return lambda post: median_estimate(post, space)
-        return lambda post: nearest_state(space, mean_estimate(post, space))
+        emb = space.require_embedding()
+        if name == "mean_snapped":
+            # int / int is correctly rounded, so w_t / d == float(Fraction(w_t, d))
+            return lambda w, d: nearest_state(
+                space, math.fsum((wt / d) * x for wt, x in zip(w, emb))
+            )
+        order = space.embedding_order()
+
+        def median(w: Sequence[int], d: int) -> int:
+            cum = 0
+            for idx in order:
+                cum += w[idx]
+                if 2 * cum >= d:
+                    return idx
+            return order[-1]  # unreachable: weights sum to d
+
+        return median
     raise CostRiskError(f"unknown estimator {name!r}; expected one of {ESTIMATORS}")
 
 
-class _Best:
-    __slots__ = ("value", "probs", "estimate", "optimal", "method")
-
-    def __init__(self):
-        self.value: ExactValue = -1
-        self.probs: tuple[Fraction, ...] | None = None
-        self.estimate = 0
-        self.optimal = 0
-        self.method = "grid"
+def _integer_rows(cost: CostMatrix) -> list[list[int]]:
+    """The cost entries times the least common denominator of them all."""
+    scale = math.lcm(*(v.denominator for row in cost.entries for v in row))
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in cost.entries]
 
 
 def _grid_denominator(resolution: float) -> int:
     return max(2, round(1 / float(resolution)))
+
+
+def _special_masses(eps: Fraction) -> set[Fraction]:
+    """Pair masses added to the swept ones: exact and near ties, slivers."""
+    return {Fraction(1, 2), (1 + eps) / 2, (1 - eps) / 2, eps, 1 - eps}
 
 
 def _compositions(total: int, parts: int):
@@ -161,7 +192,8 @@ def worst_case(
     coordinate-wise hill climbing from the best candidate with a halving
     step.  The supremum is typically approached rather than attained, so
     the returned value is a certified lower bound on it; an unbounded
-    estimate (math.inf) dominates any finite value.
+    estimate (math.inf) dominates any finite value.  The Bayes
+    estimator's worst case is 0 at the first candidate, without a search.
     """
     cfg = config or SearchConfig()
     if not cost.normalized:
@@ -171,66 +203,80 @@ def worst_case(
             f"state space has {len(space)} states, cost matrix is "
             f"{cost.size}x{cost.size}"
         )
-    est = _estimator_fn(estimator, cost, space)
     n = cost.size
     eps = to_fraction(cfg.epsilon)
-    best = _Best()
 
-    def consider(probs: tuple[Fraction, ...], method: str) -> None:
-        post = Posterior(probs)
-        e_state = est(post)
-        val = relative_error_exact(e_state, post, cost)
-        if val > best.value:
-            best.value = val
-            best.probs = post.probs
-            best.estimate = e_state
-            best.optimal = bayes_estimate_exact(post, cost)[0]
-            best.method = method
+    if estimator == "bayes":
+        if n == 1:
+            weights, denom, method = (1,), 1, "grid"
+        else:
+            q = min(Fraction(1, _grid_denominator(cfg.resolution)), *_special_masses(eps))
+            weights = (q.numerator, q.denominator - q.numerator) + (0,) * (n - 2)
+            denom, method = q.denominator, "structured_pair"
+        post = Posterior(tuple(Fraction(w, denom) for w in weights))
+        state = bayes_estimate_exact(post, cost)[0]
+        value = float(relative_error_exact(state, post, cost))
+        return WorstCase(value, post, state, state, method)
 
-    def point(assignment: dict[int, Fraction]) -> tuple[Fraction, ...]:
-        return tuple(assignment.get(i, Fraction(0)) for i in range(n))
+    pick = _estimator_kernel(estimator, space)
+    rows = _integer_rows(cost)
+    # (gain, base, weights, denominator, estimate, optimal, method); the
+    # running best relative error is gain / base, and base 0 means inf
+    best: tuple = (-1, 1, (), 1, 0, 0, "grid")
+
+    def consider(w: Sequence[int], d: int, method: str) -> bool:
+        nonlocal best
+        dots = [sum(map(mul, row, w)) for row in rows]
+        low = min(dots)
+        e_state = pick(w, d)
+        if low:
+            gain, base = dots[e_state] - low, low
+        else:
+            gain, base = (1, 0) if dots[e_state] else (0, 1)
+        if best[1] == 0 or (base and gain * best[1] <= best[0] * base):
+            return False
+        best = (gain, base, w, d, e_state, dots.index(low), method)
+        return True
+
+    def point(assignment: dict[int, int]) -> list[int]:
+        return [assignment.get(i, 0) for i in range(n)]
 
     if n == 1:
-        consider((Fraction(1),), "grid")
+        consider((1,), 1, "grid")
     else:
         den = _grid_denominator(cfg.resolution)
 
         # phase 1a: two-point supports, swept plus near-tie and sliver masses
-        qs = sorted(
-            {Fraction(k, den) for k in range(1, den)}
-            | {Fraction(1, 2), (1 + eps) / 2, (1 - eps) / 2, eps, 1 - eps}
-        )
+        qs = sorted({Fraction(k, den) for k in range(1, den)} | _special_masses(eps))
+        masses = [(q.numerator, q.denominator) for q in qs]
         for i in range(n):
             for j in range(i + 1, n):
-                for q in qs:
-                    consider(point({i: q, j: 1 - q}), "structured_pair")
+                for a, b in masses:
+                    consider(point({i: a, j: b - a}), b, "structured_pair")
 
-        # phase 1b: three-point supports with the limit patterns
+        # phase 1b: three-point supports with the limit patterns:
+        # thirds, (1 + 2 eps) / 3 against two (1 - eps) / 3, and a sliver
+        # eps beside the near tie (1 - eps)(1 +- eps) / 2
         if cfg.support_cap >= 3 and n >= 3:
-            third = Fraction(1, 3)
-            near = (1 - eps) / 3
-            top = (1 + 2 * eps) / 3
+            en, ed = eps.numerator, eps.denominator
+            top, near = ed + 2 * en, ed - en
+            sliver = (2 * en * ed, (ed - en) * (ed + en), (ed - en) ** 2)
             for trio in combinations(range(n), 3):
-                consider(point({s: third for s in trio}), "structured_triple")
+                consider(point({s: 1 for s in trio}), 3, "structured_triple")
                 for m in trio:
                     rest = [s for s in trio if s != m]
                     consider(
                         point({m: top, rest[0]: near, rest[1]: near}),
+                        3 * ed,
                         "structured_triple",
                     )
                 # vanishing sliver on t, near-tie between the other two
                 for t in trio:
                     pair = [s for s in trio if s != t]
-                    scale = 1 - eps
                     for s, u in (pair, pair[::-1]):
                         consider(
-                            point(
-                                {
-                                    t: eps,
-                                    s: scale * (1 + eps) / 2,
-                                    u: scale * (1 - eps) / 2,
-                                }
-                            ),
+                            point({t: sliver[0], s: sliver[1], u: sliver[2]}),
+                            2 * ed * ed,
                             "structured_triple",
                         )
 
@@ -249,18 +295,20 @@ def worst_case(
             )
         else:
             for comp in _compositions(den, n):
-                consider(tuple(Fraction(k, den) for k in comp), "grid")
+                consider(comp, den, "grid")
 
-        # phase 3: coordinate hill climbing with halving step
-        if best.probs is not None and cfg.refine_iterations > 0:
-            step = Fraction(1, den)
+        # phase 3: coordinate hill climbing with halving step 1 / steps
+        if cfg.refine_iterations > 0:
+            steps = den
             for _ in range(cfg.refine_iterations):
                 moved = True
                 guard = 0
                 while moved and guard < 200:
                     moved = False
                     guard += 1
-                    current = best.probs
+                    d = math.lcm(best[3], steps)
+                    current = [w * (d // best[3]) for w in best[2]]
+                    step = d // steps
                     for i in range(n):
                         for j in range(n):
                             if i == j or current[j] < step:
@@ -268,21 +316,24 @@ def worst_case(
                             cand = list(current)
                             cand[i] += step
                             cand[j] -= step
-                            before = best.value
-                            consider(tuple(cand), "refined")
-                            if best.value > before:
+                            if consider(cand, d, "refined"):
                                 moved = True
                                 break
                         if moved:
                             break
-                step /= 2
+                steps *= 2
 
-    assert best.probs is not None
-    value = best.value if best.value == math.inf else float(best.value)
+    gain, base, weights, denom, e_state, optimal, method = best
+    witness = Posterior(tuple(Fraction(w, denom) for w in weights))
+    value = relative_error_exact(e_state, witness, cost)
+    if value != (Fraction(gain, base) if base else math.inf) or (
+        bayes_estimate_exact(witness, cost)[0] != optimal
+    ):
+        raise AssertionError("integer kernel disagrees with the exact re-evaluation")
     return WorstCase(
-        value=value,
-        witness=Posterior(best.probs),
-        estimator_state=best.estimate,
-        optimal_state=best.optimal,
-        method=best.method,
+        value=value if value == math.inf else float(value),
+        witness=witness,
+        estimator_state=e_state,
+        optimal_state=optimal,
+        method=method,
     )

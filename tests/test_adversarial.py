@@ -5,8 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import costrisk as cr
+from costrisk.adversarial import ESTIMATORS, MAX_REFINE_ITERATIONS, MIN_RESOLUTION
 from costrisk.errors import (
     CostRiskError,
     DimensionMismatchError,
@@ -14,6 +17,28 @@ from costrisk.errors import (
     NotNormalizedError,
 )
 
+from conftest import random_valid_cost
+from reference_search import reference_worst_case
+
+
+def _float_cost(rng, n):
+    """Random matrix of float entries, which become large-denominator
+    Fractions, with every diagonal entry strictly below its column."""
+    return cr.validate_cost(
+        [[rng.uniform(-1.0, 0.0) if s == t else rng.uniform(0.0, 3.0)
+          for t in range(n)] for s in range(n)]
+    )
+
+
+def _distinct_embedding(rng, n):
+    """Distinct positions: uniform floats, or small integers whose
+    midpoints make exact ties for the snapped mean."""
+    if rng.random() < 0.5:
+        return tuple(float(x) for x in rng.sample(range(-3, 4), n))
+    while True:
+        emb = tuple(rng.uniform(-1.0, 1.0) for _ in range(n))
+        if len(set(emb)) == n:
+            return emb
 
 
 class TestRelativeError:
@@ -211,7 +236,60 @@ class TestWorstCase:
         assert wc.value == 0.0
 
 
+class TestKernelMatchesReference:
+    """The integer kernel against the Fraction search it replaced."""
+
+    @staticmethod
+    def _check(cost, space, cfg):
+        for est in ESTIMATORS:
+            assert cr.worst_case(est, cost, space, cfg) == reference_worst_case(
+                est, cost, space, cfg
+            )
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        floats=st.booleans(),
+        resolution=st.sampled_from((0.1, 0.2, 0.25)),
+        epsilon=st.sampled_from((1e-4, 0.01, 0.3)),
+        support_cap=st.sampled_from((2, 3)),
+        refine_iterations=st.integers(0, 6),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_random_costs(
+        self, seed, n, floats, resolution, epsilon, support_cap, refine_iterations
+    ):
+        rng = random.Random(seed)
+        raw = _float_cost(rng, n) if floats else random_valid_cost(rng, n)
+        space = cr.StateSpace(
+            tuple(f"s{i}" for i in range(n)), _distinct_embedding(rng, n)
+        )
+        cfg = cr.SearchConfig(
+            resolution=resolution,
+            support_cap=support_cap,
+            refine_iterations=refine_iterations,
+            epsilon=epsilon,
+        )
+        self._check(cr.normalize_cost(raw), space, cfg)
+
+    def test_seven_states_skip_the_grid(self):
+        rng = random.Random(7)
+        space = cr.StateSpace(tuple("abcdefg"), _distinct_embedding(rng, 7))
+        cost = cr.normalize_cost(random_valid_cost(rng, 7))
+        cfg = cr.SearchConfig(resolution=0.25, refine_iterations=3)
+        with pytest.warns(UserWarning, match="grid skipped"):
+            self._check(cost, space, cfg)
+
+
 class TestSearchConfig:
+    def test_budgets_reject_past_the_boundary(self):
+        cr.SearchConfig(resolution=MIN_RESOLUTION)
+        cr.SearchConfig(refine_iterations=MAX_REFINE_ITERATIONS)
+        with pytest.raises(CostRiskError, match="resolution"):
+            cr.SearchConfig(resolution=math.nextafter(MIN_RESOLUTION, 0))
+        with pytest.raises(CostRiskError, match="refine_iterations"):
+            cr.SearchConfig(refine_iterations=MAX_REFINE_ITERATIONS + 1)
+
     def test_validation(self):
         with pytest.raises(CostRiskError):
             cr.SearchConfig(resolution=0.7)

@@ -245,6 +245,19 @@ class TestCli:
     def test_bad_override_exits_1(self, capsys):
         assert main(["builtin", "coin_game", "--resolution", "0.9"]) == 1
 
+    @pytest.mark.parametrize(
+        "search", [{"resolution": 9.9e-5}, {"refine_iterations": 65}]
+    )
+    def test_search_budget_exits_1(self, search, tmp_path, capsys):
+        path = tmp_path / "budget.json"
+        path.write_text(as_json(dict(MINIMAL, search=search)))
+        assert main(["analyze", str(path)]) == 1
+        assert "$.search" in capsys.readouterr().err
+
+    def test_resolution_budget_override_exits_1(self, capsys):
+        assert main(["builtin", "coin_game", "--resolution", "9.9e-5"]) == 1
+        assert "resolution" in capsys.readouterr().err
+
     def test_module_entry_point(self):
         result = subprocess.run(
             [sys.executable, "-m", "costrisk", "--list-builtins"],
