@@ -7,8 +7,9 @@ maxima), then a full simplex grid for small spaces, then coordinate
 hill climbing with a halving step.
 
 Candidates are scored by an exact integer kernel.  The normalized cost
-matrix is scaled once by the least common denominator of its entries,
-and each candidate posterior is a vector of integer weights over a
+matrix's integer form (``CostMatrix.scaled``, its entries times the
+least common denominator) is computed once per matrix, and each
+candidate posterior is a vector of integer weights over a
 common denominator, so one pass of integer dot products gives all n
 expected costs up to a shared positive factor.  Their lowest-index
 minimum is the Bayes report and its cost; relative errors are compared
@@ -33,7 +34,13 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .errors import CostRiskError, DimensionMismatchError, NotNormalizedError
-from .estimators import bayes_estimate_exact, expected_cost_exact, nearest_state
+from .estimators import (
+    bayes_estimate_exact,
+    expected_cost_exact,
+    nearest_state,
+    weighted_mean,
+    weighted_median,
+)
 from .model import CostMatrix, Posterior, StateSpace, to_fraction
 
 #: Grid sizes beyond this are skipped with a notice rather than attempted.
@@ -43,6 +50,9 @@ MAX_GRID_POINTS = 2_000_000
 #: is rejected up front instead of exhausting time or memory.
 MIN_RESOLUTION = 1e-4
 MAX_REFINE_ITERATIONS = 64
+#: Scenario documents with more states than this are rejected: a mode
+#: worst case takes about 0.06 s at 12 states and 1.2 s at 24.
+MAX_STATES = 32
 
 ESTIMATORS = ("mode", "mean_snapped", "median", "bayes")
 
@@ -133,28 +143,10 @@ def _estimator_kernel(
             raise CostRiskError(f"{name} estimation needs a state space")
         emb = space.require_embedding()
         if name == "mean_snapped":
-            # int / int is correctly rounded, so w_t / d == float(Fraction(w_t, d))
-            return lambda w, d: nearest_state(
-                space, math.fsum((wt / d) * x for wt, x in zip(w, emb))
-            )
+            return lambda w, d: nearest_state(space, weighted_mean(w, d, emb))
         order = space.embedding_order()
-
-        def median(w: Sequence[int], d: int) -> int:
-            cum = 0
-            for idx in order:
-                cum += w[idx]
-                if 2 * cum >= d:
-                    return idx
-            return order[-1]  # unreachable: weights sum to d
-
-        return median
+        return lambda w, d: weighted_median(w, d, order)
     raise CostRiskError(f"unknown estimator {name!r}; expected one of {ESTIMATORS}")
-
-
-def _integer_rows(cost: CostMatrix) -> list[list[int]]:
-    """The cost entries times the least common denominator of them all."""
-    scale = math.lcm(*(v.denominator for row in cost.entries for v in row))
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in cost.entries]
 
 
 def _grid_denominator(resolution: float) -> int:
@@ -219,7 +211,7 @@ def worst_case(
         return WorstCase(value, post, state, state, method)
 
     pick = _estimator_kernel(estimator, space)
-    rows = _integer_rows(cost)
+    rows = cost.scaled[0]
     # (gain, base, weights, denominator, estimate, optimal, method); the
     # running best relative error is gain / base, and base 0 means inf
     best: tuple = (-1, 1, (), 1, 0, 0, "grid")

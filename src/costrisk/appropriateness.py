@@ -8,6 +8,12 @@ of four structural conditions, and each failure comes with a
 constructive lower bound on the worst-case relative error plus the
 point-mass family that approaches it.
 
+The mode checks run on the matrix's cached integer form
+(``CostMatrix.scaled``: entries V / L over one denominator L).  Each
+ENTRY_TOL test is an integer test against floor(L * ENTRY_TOL), each
+bound is an exact (num, den) pair compared by cross-multiplication,
+and only a reported bound is converted to float.
+
 For distance-form costs, mean estimation is cost minimizing only for
 quadratic profiles (the slope must scale exactly: n*f'(x) = f'(n*x))
 and median estimation only for constant-slope profiles.
@@ -30,23 +36,41 @@ NUMERIC_TOL = 1e-3
 #: Mass-split factors probed by the mean check.
 SCALING_FACTORS = (2, 3, 5, 10)
 
-ExactValue = Union[Fraction, float]  # Fraction, or math.inf for unbounded
+#: An exact nonnegative ratio as (num, den): num / den, or inf when den
+#: is 0.  Every such pair has den > 0 or equals INF, so a > b exactly
+#: when a[0] * b[1] > b[0] * a[1], with inf above every finite value.
+INF = (1, 0)
+ZERO = (0, 1)
 
 
-def _require_normalized(cost: CostMatrix) -> None:
+def _integer_view(cost: CostMatrix) -> tuple[tuple[tuple[int, ...], ...], int, int]:
+    """(rows, L, tol): the normalized cost's integer form and ENTRY_TOL on
+    its scale.
+
+    For integers, |V| <= L * ENTRY_TOL exactly when |V| <= floor(L *
+    ENTRY_TOL) = tol, so "entries v = V / L and w = W / L differ by at
+    most ENTRY_TOL" is abs(V - W) <= tol.  Normalized entries are
+    nonnegative, so "v is zero within ENTRY_TOL" is V <= tol.
+    """
     if not cost.normalized:
         raise NotNormalizedError("this check needs a normalized cost matrix")
+    rows, L = cost.scaled
+    return rows, L, L * ENTRY_TOL.numerator // ENTRY_TOL.denominator
 
 
-def _is_zero(v: Fraction) -> bool:
-    return abs(v) <= ENTRY_TOL
+def _exceeds(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    return a[0] * b[1] > b[0] * a[1]
 
 
-def _ratio_bound(hi: Fraction, lo: Fraction) -> ExactValue:
+def _ratio_bound(hi: int, lo: int, tol: int) -> tuple[int, int]:
     """hi/lo - 1, the two-point relative-error limit; inf when lo is zero."""
-    if _is_zero(lo):
-        return math.inf
-    return hi / lo - 1
+    if lo <= tol:
+        return INF
+    return hi - lo, lo
+
+
+def _as_float(v: tuple[int, int]) -> float:
+    return v[0] / v[1] if v[1] else math.inf
 
 
 @dataclass(frozen=True)
@@ -119,104 +143,94 @@ class ModeErrorBound:
     witness: WitnessFamily | None
 
 
-def _asymmetry_bounds(cost: CostMatrix):
+def _asymmetry_bounds(rows, L, tol):
     """Two-point constructions for asymmetric positive pairs.
 
     With all mass nearly tied between s and t, the mode is forced onto
     the costlier report; the relative error approaches the cost ratio
     minus one.
     """
-    E = cost.entries
-    n = cost.size
+    n = len(rows)
     for i in range(n):
         for j in range(i + 1, n):
-            a, b = E[i][j], E[j][i]
-            if _is_zero(a) or _is_zero(b):
-                continue
-            if abs(a - b) <= ENTRY_TOL:
+            a, b = rows[i][j], rows[j][i]
+            if a <= tol or b <= tol or abs(a - b) <= tol:
                 continue
             if a > b:
-                yield _ratio_bound(a, b), (i, j)
+                yield (a - b, b), (i, j)
             else:
-                yield _ratio_bound(b, a), (j, i)
+                yield (b - a, a), (j, i)
 
 
-def _equivalence_bounds(cost: CostMatrix):
+def _equivalence_bounds(rows, L, tol):
     """Free-substitute constructions: reporting s costs nothing when u is
     true, yet s and u price some third state t differently.
 
     Mass concentrates on s (the mode) and u with a vanishing sliver on
     t; the substitute u then beats the mode by the row ratio.
     """
-    E = cost.entries
-    n = cost.size
+    n = len(rows)
     for s in range(n):
+        row_s = rows[s]
         for u in range(n):
-            if s == u or not _is_zero(E[s][u]):
+            if s == u or row_s[u] > tol:
                 continue
+            row_u = rows[u]
             for t in range(n):
-                if t in (s, u):
+                if t == s or t == u:
                     continue
-                a, b = E[s][t], E[u][t]
-                if a > b + ENTRY_TOL:
-                    yield _ratio_bound(a, b), (s, u, t)
+                a, b = row_s[t], row_u[t]
+                if a - b > tol:
+                    yield _ratio_bound(a, b, tol), (s, u, t)
 
 
-def _unequal_positive_bounds(cost: CostMatrix):
+def _unequal_positive_bounds(rows, L, tol):
     """Near-tie triple constructions for two unequal positive costs.
 
     All three states approach equal probability with u on top, so the
     mode reports u while a cheaper estimate exists; which of s or t is
-    the minimizer depends on how u prices against them.
+    the minimizer depends on how u prices against them.  The bound is
+    num / den - 1, and den >= E[s][t] > 0.
     """
-    E = cost.entries
-    n = cost.size
+    n = len(rows)
     for s in range(n):
+        row_s = rows[s]
         for t in range(n):
-            if t == s:
+            a = row_s[t]
+            if t == s or a <= tol:
                 continue
+            row_t = rows[t]
             for u in range(n):
-                if u in (s, t):
+                c = row_t[u]
+                if u == s or u == t or c - a <= tol:
                     continue
-                a, c = E[s][t], E[t][u]
-                if _is_zero(a) or _is_zero(c):
-                    continue
-                if c - a <= ENTRY_TOL:
-                    continue
-                num = E[s][u] + E[u][t]
-                if E[s][u] < E[t][u]:
-                    den = E[s][u] + E[s][t]
-                else:
-                    den = E[s][t] + E[u][t]
-                if den == 0:
-                    continue
-                val = num / den - 1
-                if val > 0:
-                    yield val, (s, t, u)
+                su, ut = row_s[u], rows[u][t]
+                num = su + ut
+                den = su + a if su < c else a + ut
+                if num > den:
+                    yield (num - den, den), (s, t, u)
 
 
-def _zero_class_bounds(cost: CostMatrix):
+def _zero_class_bounds(rows, L, tol):
     """Zero-pair-plus-unit-state constructions.
 
     When s and t substitute for each other for free and a third state u
     trades with both at the maximum cost, pushing the pair toward a
     three-way tie drives the relative error to 1.
     """
-    E = cost.entries
-    n = cost.size
-    one = Fraction(1)
+    n = len(rows)
     for i in range(n):
         for j in range(i + 1, n):
-            if not (_is_zero(E[i][j]) and _is_zero(E[j][i])):
+            if rows[i][j] > tol or rows[j][i] > tol:
                 continue
             for u in range(n):
                 if u in (i, j):
                     continue
                 if all(
-                    abs(v - one) <= ENTRY_TOL
-                    for v in (E[i][u], E[j][u], E[u][i], E[u][j])
+                    abs(v - L) <= tol
+                    for v in (rows[i][u], rows[j][u], rows[u][i], rows[u][j])
                 ):
-                    yield Fraction(1), (i, j, u)
+                    yield (1, 1), (i, j, u)
 
 
 def mode_error_lower_bound(cost: CostMatrix) -> ModeErrorBound:
@@ -227,8 +241,8 @@ def mode_error_lower_bound(cost: CostMatrix) -> ModeErrorBound:
     the point-mass witness family that approaches it.  Appropriate
     matrices (trivial or 0-1) admit no construction and get value 0.
     """
-    _require_normalized(cost)
-    best: ExactValue = Fraction(0)
+    view = _integer_view(cost)
+    best = ZERO
     best_kind = "none"
     best_states: tuple[int, ...] = ()
     generators = (
@@ -238,14 +252,13 @@ def mode_error_lower_bound(cost: CostMatrix) -> ModeErrorBound:
         ("zero_class", _zero_class_bounds),
     )
     for kind, gen in generators:
-        for val, states in gen(cost):
-            if val > best:
+        for val, states in gen(*view):
+            if _exceeds(val, best):
                 best, best_kind, best_states = val, kind, states
     witness = None
     if best_kind != "none":
         witness = WitnessFamily(best_kind, best_states, cost.size)
-    value = math.inf if best == math.inf else float(best)
-    return ModeErrorBound(value, best_kind, best_states, witness)
+    return ModeErrorBound(_as_float(best), best_kind, best_states, witness)
 
 
 def check_mode_appropriate(cost: CostMatrix) -> ModeVerdict:
@@ -258,59 +271,56 @@ def check_mode_appropriate(cost: CostMatrix) -> ModeVerdict:
     first.  A matrix passing all four is either trivial (all zero) or a
     0-1 cost, the only two classifications mode estimation can trust.
     """
-    _require_normalized(cost)
-    E = cost.entries
+    view = _integer_view(cost)
+    E, L, tol = view
     n = cost.size
     violations: list[Violation] = []
-
-    def as_float(v: ExactValue) -> float:
-        return math.inf if v == math.inf else float(v)
 
     # (a) symmetry
     for i in range(n):
         for j in range(i + 1, n):
             a, b = E[i][j], E[j][i]
-            if abs(a - b) > ENTRY_TOL:
+            if abs(a - b) > tol:
                 hi, lo = (a, b) if a > b else (b, a)
                 violations.append(
-                    Violation("asymmetry", (i, j), as_float(_ratio_bound(hi, lo)))
+                    Violation("asymmetry", (i, j), _as_float(_ratio_bound(hi, lo, tol)))
                 )
 
     # (b) zero-cost equivalence: either direction of a zero pair demands
     # identical rows and identical columns for the pair
     for i in range(n):
         for j in range(i + 1, n):
-            if not (_is_zero(E[i][j]) or _is_zero(E[j][i])):
+            if E[i][j] > tol and E[j][i] > tol:
                 continue
             for t in range(n):
                 row_a, row_b = E[i][t], E[j][t]
                 col_a, col_b = E[t][i], E[t][j]
-                row_bad = abs(row_a - row_b) > ENTRY_TOL
-                col_bad = abs(col_a - col_b) > ENTRY_TOL
+                row_bad = abs(row_a - row_b) > tol
+                col_bad = abs(col_a - col_b) > tol
                 if not (row_bad or col_bad):
                     continue
-                bound: ExactValue = Fraction(0)
+                bound = ZERO
                 if row_bad:
-                    bound = max(bound, _ratio_bound(max(row_a, row_b), min(row_a, row_b)))
+                    bound = _ratio_bound(max(row_a, row_b), min(row_a, row_b), tol)
                 if col_bad:
-                    bound = max(bound, _ratio_bound(max(col_a, col_b), min(col_a, col_b)))
-                violations.append(Violation("equivalence", (i, j, t), as_float(bound)))
+                    col = _ratio_bound(max(col_a, col_b), min(col_a, col_b), tol)
+                    if _exceeds(col, bound):
+                        bound = col
+                violations.append(Violation("equivalence", (i, j, t), _as_float(bound)))
 
     # (c) all strictly positive entries share one value
-    positives = [
-        (E[s][t], s, t) for s in range(n) for t in range(n) if E[s][t] > ENTRY_TOL
-    ]
+    positives = [(E[s][t], s, t) for s in range(n) for t in range(n) if E[s][t] > tol]
     if positives:
         lo = min(positives)
         hi = max(positives)
-        if hi[0] - lo[0] > ENTRY_TOL:
+        if hi[0] - lo[0] > tol:
             triple = None
-            for bound_val, states in _unequal_positive_bounds(cost):
-                if triple is None or bound_val > triple[0]:
+            for bound_val, states in _unequal_positive_bounds(*view):
+                if triple is None or _exceeds(bound_val, triple[0]):
                     triple = (bound_val, states)
             if triple is not None:
                 violations.append(
-                    Violation("unequal_positive", triple[1], as_float(triple[0]))
+                    Violation("unequal_positive", triple[1], _as_float(triple[0]))
                 )
             else:
                 # no linking triple (disjoint unequal pairs): fall back to
@@ -319,36 +329,30 @@ def check_mode_appropriate(cost: CostMatrix) -> ModeVerdict:
                     Violation(
                         "unequal_positive",
                         (hi[1], hi[2], lo[1], lo[2]),
-                        as_float(_ratio_bound(hi[0], lo[0])),
+                        _as_float(_ratio_bound(hi[0], lo[0], tol)),
                     )
                 )
 
     # (d) a zero-cost pair alongside any positive entry
     zero_pair = next(
-        (
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if i != j and _is_zero(E[i][j])
-        ),
+        ((i, j) for i in range(n) for j in range(n) if i != j and E[i][j] <= tol),
         None,
     )
     if zero_pair is not None and positives:
         unit = next(
-            ((s, t) for v, s, t in positives if abs(v - 1) <= ENTRY_TOL),
+            ((s, t) for v, s, t in positives if abs(v - L) <= tol),
             (positives[0][1], positives[0][2]),
         )
         violations.append(
             Violation("zero_class", (*zero_pair, *unit), 1.0)
         )
 
-    top = max((v for row in E for v in row), default=Fraction(0))
-    if top <= ENTRY_TOL:
+    if max(v for row in E for v in row) <= tol:
         classification = "trivial"
     else:
         off_diag = [E[s][t] for s in range(n) for t in range(n) if s != t]
-        all_equal = max(off_diag) - min(off_diag) <= ENTRY_TOL
-        no_zeros = all(v > ENTRY_TOL for v in off_diag)
+        all_equal = max(off_diag) - min(off_diag) <= tol
+        no_zeros = all(v > tol for v in off_diag)
         classification = "zero_one" if (all_equal and no_zeros) else "inappropriate"
     appropriate = classification in ("zero_one", "trivial")
     return ModeVerdict(appropriate, classification, tuple(violations))

@@ -3,18 +3,20 @@
 Pure functions of immutable inputs; safe for arbitrary parallel use.
 The ``*_exact`` variants return Fractions and are what the adversarial
 search builds on; the plain versions convert to float at the boundary.
+Expected costs are integer dot products of the cost matrix's and the
+posterior's cached integer forms (``CostMatrix.scaled``,
+``Posterior.scaled``) over the shared denominator L * d.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from operator import mul
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatchError
 from .model import CostMatrix, DistanceCost, Posterior, StateSpace
-
-HALF = Fraction(1, 2)
 
 
 def _check_sizes(post: Posterior, cost: CostMatrix) -> int:
@@ -34,8 +36,9 @@ def expected_cost_exact(s: int, post: Posterior, cost: CostMatrix) -> Fraction:
     """Exact expected posterior cost of reporting state s."""
     n = _check_sizes(post, cost)
     _check_state(s, n)
-    row = cost.entries[s]
-    return sum((row[t] * post.probs[t] for t in range(n)), Fraction(0))
+    rows, L = cost.scaled
+    w, d = post.scaled
+    return Fraction(sum(map(mul, rows[s], w)), L * d)
 
 
 def expected_cost(s: int, post: Posterior, cost: CostMatrix) -> float:
@@ -64,7 +67,13 @@ def mean_estimate(post: Posterior, space: StateSpace) -> float:
         raise DimensionMismatchError(
             f"posterior has {len(post)} entries for {len(emb)} states"
         )
-    return math.fsum(float(p) * x for p, x in zip(post.probs, emb))
+    return weighted_mean(*post.scaled, emb)
+
+
+def weighted_mean(w: Sequence[int], d: int, emb: Sequence[float]) -> float:
+    """fsum of (w_t / d) * x_t; int / int is correctly rounded, so each
+    term equals float(probs[t]) * x_t for the posterior w / d."""
+    return math.fsum((wt / d) * x for wt, x in zip(w, emb))
 
 
 def median_estimate(post: Posterior, space: StateSpace) -> int:
@@ -75,13 +84,17 @@ def median_estimate(post: Posterior, space: StateSpace) -> int:
         raise DimensionMismatchError(
             f"posterior has {len(post)} entries for {len(emb)} states"
         )
-    cum = Fraction(0)
-    order = space.embedding_order()
+    return weighted_median(*post.scaled, space.embedding_order())
+
+
+def weighted_median(w: Sequence[int], d: int, order: Sequence[int]) -> int:
+    """First index in ``order`` where the cumulative weight reaches d / 2."""
+    cum = 0
     for idx in order:
-        cum += post.probs[idx]
-        if cum >= HALF:
+        cum += w[idx]
+        if 2 * cum >= d:
             return idx
-    return order[-1]  # unreachable: probabilities sum to 1
+    return order[-1]  # unreachable: weights sum to d
 
 
 class BayesResult(NamedTuple):
@@ -90,13 +103,13 @@ class BayesResult(NamedTuple):
 
 
 def bayes_estimate_exact(post: Posterior, cost: CostMatrix) -> tuple[int, Fraction]:
-    best = 0
-    best_cost = expected_cost_exact(0, post, cost)
-    for s in range(1, cost.size):
-        c = expected_cost_exact(s, post, cost)
-        if c < best_cost:
-            best, best_cost = s, c
-    return best, best_cost
+    """Lowest-index expected-cost minimizer and its exact expected cost."""
+    _check_sizes(post, cost)
+    rows, L = cost.scaled
+    w, d = post.scaled
+    dots = [sum(map(mul, row, w)) for row in rows]
+    low = min(dots)
+    return dots.index(low), Fraction(low, L * d)
 
 
 def bayes_estimate(post: Posterior, cost: CostMatrix) -> BayesResult:

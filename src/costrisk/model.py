@@ -8,8 +8,15 @@ rationals anyway.  Floats are accepted everywhere and converted exactly;
 only the continuous distance-cost machinery (embeddings, derivatives)
 stays in floating point.
 
+``CostMatrix.scaled`` and ``Posterior.scaled`` give the same values as
+integers over one common denominator each, computed once per object.
+The appropriateness checks, the exact estimators and the worst-case
+kernel all decide on these integer forms: an expected cost is one
+integer dot product, and comparisons of ratios are cross-multiplied,
+so no per-entry Fraction arithmetic is needed.
+
 All types are immutable after construction and safe to share across
-threads.
+threads; the cached integer forms are derived data and never change.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence, Union
 
 from .errors import (
@@ -144,6 +152,13 @@ class Posterior:
     def __len__(self) -> int:
         return len(self.probs)
 
+    @cached_property
+    def scaled(self) -> tuple[tuple[int, ...], int]:
+        """(w, d): integer weights with probs[t] == w[t] / d exactly, d the
+        least common denominator of the probabilities; sum(w) == d."""
+        d = math.lcm(*(p.denominator for p in self.probs))
+        return tuple(p.numerator * (d // p.denominator) for p in self.probs), d
+
     def as_floats(self) -> tuple[float, ...]:
         return tuple(float(p) for p in self.probs)
 
@@ -196,6 +211,16 @@ class CostMatrix:
     def trivial(self) -> bool:
         """True when every entry is zero (the useless all-zero cost)."""
         return all(v == 0 for row in self.entries for v in row)
+
+    @cached_property
+    def scaled(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(rows, L): integer rows with entries[s][t] == rows[s][t] / L
+        exactly, L the least common denominator of all entries."""
+        L = math.lcm(*(v.denominator for row in self.entries for v in row))
+        rows = tuple(
+            tuple(v.numerator * (L // v.denominator) for v in row) for row in self.entries
+        )
+        return rows, L
 
     def as_floats(self) -> list[list[float]]:
         return [[float(v) for v in row] for row in self.entries]

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Any
 
-from .adversarial import SearchConfig, WorstCase, relative_error, worst_case
+from .adversarial import MAX_STATES, SearchConfig, WorstCase, relative_error, worst_case
 from .appropriateness import (
     DistanceVerdict,
     ModeErrorBound,
@@ -138,6 +138,9 @@ def scenario_from_dict(doc: Any, path: str = "$") -> Scenario:
         isinstance(states_raw, list) and states_raw,
         f"{path}.states",
         "expected a non-empty list of labels",
+    )
+    _expect(
+        len(states_raw) <= MAX_STATES, f"{path}.states", f"at most {MAX_STATES} states"
     )
     states = []
     for k, s in enumerate(states_raw):
@@ -299,6 +302,7 @@ def _estimate_block(
     cost: CostMatrix,
     space: StateSpace,
 ) -> dict[str, Any]:
+    block: dict[str, Any] = {}
     if name == "mode":
         state = mode_estimate(post)
     elif name == "median":
@@ -306,19 +310,12 @@ def _estimate_block(
     elif name == "bayes":
         state = bayes_estimate(post, cost).state
     else:  # mean
-        raw = mean_estimate(post, space)
-        state = nearest_state(space, raw)
-        return {
-            "raw_mean": raw,
-            "estimate": sc.states[state],
-            "expected_cost": expected_cost(state, post, cost),
-            "relative_error": relative_error(state, post, cost),
-        }
-    return {
-        "estimate": sc.states[state],
-        "expected_cost": expected_cost(state, post, cost),
-        "relative_error": relative_error(state, post, cost),
-    }
+        block["raw_mean"] = mean_estimate(post, space)
+        state = nearest_state(space, block["raw_mean"])
+    block["estimate"] = sc.states[state]
+    block["expected_cost"] = expected_cost(state, post, cost)
+    block["relative_error"] = relative_error(state, post, cost)
+    return block
 
 
 def _worst_block(
@@ -363,12 +360,15 @@ def run_scenario(sc: Scenario) -> RiskReport:
             raise ScenarioFieldError("cost.profile", str(exc)) from exc
 
     estimates: dict[str, dict[str, Any]] = {}
+    post = None
     for name in sc.estimators:
         try:
             if sc.distribution is None:
                 estimates[name] = _worst_block(name, sc, cost, space)
             else:
-                post = Posterior(tuple(sc.distribution))
+                if post is None:
+                    # one Posterior, so every estimator shares its integer form
+                    post = Posterior(tuple(sc.distribution))
                 estimates[name] = _estimate_block(name, sc, post, cost, space)
         except CostRiskError as exc:
             raise ScenarioFieldError("estimators", f"{name}: {exc}") from exc

@@ -33,6 +33,15 @@ def random_valid_cost(rng: random.Random, n: int, den: int = 20) -> cr.CostMatri
     return cr.validate_cost(entries)
 
 
+def random_float_cost(rng: random.Random, n: int) -> cr.CostMatrix:
+    """Random matrix of float entries, which become large-denominator
+    Fractions, with every diagonal entry strictly below its column."""
+    return cr.validate_cost(
+        [[rng.uniform(-1.0, 0.0) if s == t else rng.uniform(0.0, 3.0)
+          for t in range(n)] for s in range(n)]
+    )
+
+
 def brute_expected_cost(s, probs, entries):
     """Oracle: expected cost as a plain sum, independent of the library."""
     return sum(entries[s][t] * probs[t] for t in range(len(probs)))

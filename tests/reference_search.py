@@ -2,10 +2,11 @@
 
 This is the straightforward Fraction implementation of the search that
 ``costrisk.worst_case`` runs as an integer kernel: every candidate is
-built as a ``Posterior`` and scored with ``relative_error_exact``, and
-the Bayes estimator is searched like any other.  It visits the same
-candidates in the same order with the same strict comparison, so the
-two must agree field for field.
+built as a ``Posterior`` and scored with the brute-force Fraction sums
+of ``conftest``, not with the package's estimators (which share the
+kernel's integer view), and the Bayes estimator is searched like any
+other.  It visits the same candidates in the same order with the same
+strict comparison, so the two must agree field for field.
 """
 
 from __future__ import annotations
@@ -15,26 +16,42 @@ from fractions import Fraction
 from itertools import combinations
 
 from costrisk.adversarial import MAX_GRID_POINTS, SearchConfig, WorstCase
-from costrisk.adversarial import relative_error_exact
-from costrisk.estimators import (
-    bayes_estimate_exact,
-    mean_estimate,
-    median_estimate,
-    mode_estimate,
-    nearest_state,
-)
+from costrisk.estimators import mode_estimate, nearest_state
 from costrisk.model import Posterior, to_fraction
+
+from conftest import brute_argmin_state
+
+
+def _median(post, space):
+    cum = Fraction(0)
+    for idx in space.embedding_order():
+        cum += post.probs[idx]
+        if cum >= Fraction(1, 2):
+            return idx
+
+
+def _mean(post, space):
+    return math.fsum(float(p) * x for p, x in zip(post.probs, space.embedding))
 
 
 def _estimator_fn(name, cost, space):
     if name == "mode":
         return mode_estimate
     if name == "bayes":
-        return lambda post: bayes_estimate_exact(post, cost)[0]
+        return lambda post: brute_argmin_state(post.probs, cost.entries)[0]
     if name == "median":
-        return lambda post: median_estimate(post, space)
+        return lambda post: _median(post, space)
     assert name == "mean_snapped"
-    return lambda post: nearest_state(space, mean_estimate(post, space))
+    return lambda post: nearest_state(space, _mean(post, space))
+
+
+def _relative_error(estimate, post, cost):
+    """(value, optimal state) from the brute-force expected costs."""
+    optimal, costs = brute_argmin_state(post.probs, cost.entries)
+    low, c = costs[optimal], costs[estimate]
+    if low == 0:
+        return (Fraction(0) if c == 0 else math.inf), optimal
+    return (c - low) / low, optimal
 
 
 def _compositions(total, parts):
@@ -56,13 +73,13 @@ def reference_worst_case(estimator, cost, space=None, config=None) -> WorstCase:
     def consider(probs, method):
         post = Posterior(probs)
         e_state = est(post)
-        val = relative_error_exact(e_state, post, cost)
+        val, optimal = _relative_error(e_state, post, cost)
         if val > best["value"]:
             best.update(
                 value=val,
                 probs=post.probs,
                 estimate=e_state,
-                optimal=bayes_estimate_exact(post, cost)[0],
+                optimal=optimal,
                 method=method,
             )
 

@@ -17,17 +17,8 @@ from costrisk.errors import (
     NotNormalizedError,
 )
 
-from conftest import random_valid_cost
+from conftest import random_float_cost, random_valid_cost
 from reference_search import reference_worst_case
-
-
-def _float_cost(rng, n):
-    """Random matrix of float entries, which become large-denominator
-    Fractions, with every diagonal entry strictly below its column."""
-    return cr.validate_cost(
-        [[rng.uniform(-1.0, 0.0) if s == t else rng.uniform(0.0, 3.0)
-          for t in range(n)] for s in range(n)]
-    )
 
 
 def _distinct_embedding(rng, n):
@@ -260,7 +251,7 @@ class TestKernelMatchesReference:
         self, seed, n, floats, resolution, epsilon, support_cap, refine_iterations
     ):
         rng = random.Random(seed)
-        raw = _float_cost(rng, n) if floats else random_valid_cost(rng, n)
+        raw = random_float_cost(rng, n) if floats else random_valid_cost(rng, n)
         space = cr.StateSpace(
             tuple(f"s{i}" for i in range(n)), _distinct_embedding(rng, n)
         )

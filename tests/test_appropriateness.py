@@ -5,11 +5,41 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import costrisk as cr
 from costrisk.errors import NotNormalizedError
+from costrisk.model import ENTRY_TOL
 
-from conftest import rational_posterior
+from conftest import random_float_cost, random_valid_cost, rational_posterior
+from reference_appropriateness import (
+    reference_check_mode_appropriate,
+    reference_mode_error_lower_bound,
+)
+
+_ETA = Fraction(1, 2**60)
+#: Entries at, just inside and just outside ENTRY_TOL of 0, 1/2 and 1.
+_NEAR_TOL = sorted(
+    {
+        min(max(base + sign * off, Fraction(0)), Fraction(1))
+        for base in (Fraction(0), Fraction(1, 2), Fraction(1))
+        for off in (0, ENTRY_TOL, ENTRY_TOL - _ETA, ENTRY_TOL + _ETA)
+        for sign in (1, -1)
+    }
+)
+#: The floats nearest the same points: their common denominator L is a
+#: power of two, so L * ENTRY_TOL is not an integer and a float just
+#: past the tolerance sits one unit above floor(L * ENTRY_TOL).
+_NEAR_TOL_FLOATS = sorted(
+    {Fraction(0)}
+    | {
+        Fraction(min(x, 1.0))
+        for v in _NEAR_TOL
+        if v
+        for x in (math.nextafter(float(v), 0.0), float(v), math.nextafter(float(v), 2.0))
+    }
+)
 
 
 class TestCheckModeAppropriate:
@@ -162,6 +192,43 @@ class TestModeErrorLowerBound:
             post = bound.witness.posterior(Fraction(1, 10000))
             achieved = cr.relative_error(cr.mode_estimate(post), post, cost)
             assert achieved >= 0.9 * bound.value
+
+
+class TestMatchesReference:
+    """The integer checks against their plain Fraction reference."""
+
+    @staticmethod
+    def _check(cost):
+        assert cr.check_mode_appropriate(cost) == reference_check_mode_appropriate(cost)
+        assert cr.mode_error_lower_bound(cost) == reference_mode_error_lower_bound(cost)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), floats=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_random_costs(self, seed, n, floats):
+        rng = random.Random(seed)
+        raw = random_float_cost(rng, n) if floats else random_valid_cost(rng, n)
+        self._check(cr.normalize_cost(raw))
+
+    @given(n=st.integers(2, 4), near=st.sampled_from([_NEAR_TOL, _NEAR_TOL_FLOATS]),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_entries_at_the_tolerance(self, n, near, data):
+        values = data.draw(
+            st.lists(st.sampled_from(near), min_size=n * n, max_size=n * n)
+        )
+        entries = [
+            [Fraction(0) if s == t else values[s * n + t] for t in range(n)]
+            for s in range(n)
+        ]
+        if max(max(row) for row in entries) != 1:
+            entries[0][1] = Fraction(1)
+        self._check(cr.CostMatrix(entries, normalized=True))
+
+    @pytest.mark.parametrize("off", [ENTRY_TOL - _ETA, ENTRY_TOL, ENTRY_TOL + _ETA])
+    def test_zero_class_unit_at_the_tolerance(self, off):
+        # the zero pair {a, b} trades with c at 1 or within off of it
+        near = 1 - off
+        self._check(cr.CostMatrix([[0, 0, near], [0, 0, 1], [1, near, 0]], normalized=True))
 
 
 class TestMeanCheck:

@@ -1,5 +1,6 @@
 """Estimator behavior against brute-force and grid oracles."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,9 +10,16 @@ from hypothesis import strategies as st
 
 import costrisk as cr
 from costrisk.errors import DimensionMismatchError, MissingEmbeddingError
-from costrisk.estimators import bayes_estimate_exact
+from costrisk.estimators import bayes_estimate_exact, expected_cost_exact
 
-from conftest import grid_cost_minimizer, rational_posterior, random_valid_cost
+from conftest import (
+    brute_argmin_state,
+    brute_expected_cost,
+    grid_cost_minimizer,
+    random_float_cost,
+    random_valid_cost,
+    rational_posterior,
+)
 
 
 class TestExpectedCost:
@@ -140,6 +148,57 @@ class TestBayesEstimate:
                 assert best <= sum(
                     cost.entries[s][t] * post.probs[t] for t in range(n)
                 )
+
+
+class TestMatchesBruteForce:
+    """The exact estimators, which read the integer forms of cost and
+    posterior, against plain Fraction sums over the stored probabilities."""
+
+    @staticmethod
+    def _check(post, cost, space):
+        n = cost.size
+        for s in range(n):
+            assert expected_cost_exact(s, post, cost) == brute_expected_cost(
+                s, post.probs, cost.entries
+            )
+        best, costs = brute_argmin_state(post.probs, cost.entries)
+        assert bayes_estimate_exact(post, cost) == (best, costs[best])
+        emb = space.embedding
+        assert cr.mean_estimate(post, space) == math.fsum(
+            float(p) * x for p, x in zip(post.probs, emb)
+        )
+        cum = Fraction(0)
+        for idx in space.embedding_order():
+            cum += post.probs[idx]
+            if cum >= Fraction(1, 2):
+                break
+        assert cr.median_estimate(post, space) == idx
+
+    def test_float_posterior_is_rescaled(self, two_coin_raw):
+        probs = (0.1, 0.2, 0.3, 0.4)
+        assert sum(map(Fraction, probs)) != 1
+        post = cr.Posterior(probs)
+        assert sum(post.probs) == 1
+        space = cr.StateSpace(("a", "b", "c", "d"), (0.0, 1.0, 3.0, 7.0))
+        self._check(post, two_coin_raw, space)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), floats=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_random(self, seed, n, floats):
+        rng = random.Random(seed)
+        cost = random_float_cost(rng, n) if floats else random_valid_cost(rng, n)
+        if rng.random() < 0.5:
+            cost = cr.normalize_cost(cost)
+        # float probabilities: zeros make ties, and the sum is rarely 1
+        xs = [rng.choice((0.0, 1.0, rng.random())) for _ in range(n)]
+        if not any(xs):
+            xs[0] = 1.0
+        total = sum(xs)
+        post = cr.Posterior(tuple(x / total for x in xs))
+        space = cr.StateSpace(
+            tuple(f"s{i}" for i in range(n)), tuple(rng.sample(range(-9, 10), n))
+        )
+        self._check(post, cost, space)
 
 
 class TestNearestState:

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import costrisk as cr
+from costrisk.adversarial import MAX_STATES
 from costrisk.cli import main
 from costrisk.scenario import SchemaError, ScenarioFieldError, with_search_overrides
 
@@ -253,6 +254,17 @@ class TestCli:
         path.write_text(as_json(dict(MINIMAL, search=search)))
         assert main(["analyze", str(path)]) == 1
         assert "$.search" in capsys.readouterr().err
+
+    def test_state_budget_exits_1(self, tmp_path, capsys):
+        states = [f"s{i}" for i in range(MAX_STATES + 1)]
+        doc = dict(MINIMAL, states=states, distribution="worst_case")
+        with pytest.raises(SchemaError) as info:
+            cr.parse_scenario(as_json(doc))
+        assert info.value.path == "$.states"
+        path = tmp_path / "states.json"
+        path.write_text(as_json(doc))
+        assert main(["analyze", str(path)]) == 1
+        assert "$.states" in capsys.readouterr().err
 
     def test_resolution_budget_override_exits_1(self, capsys):
         assert main(["builtin", "coin_game", "--resolution", "9.9e-5"]) == 1
