@@ -70,55 +70,3 @@ from .scenario import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BayesResult",
-    "CostMatrix",
-    "CostRiskError",
-    "DerivativeUnavailableError",
-    "DiagonalNotMinimalError",
-    "DimensionMismatchError",
-    "DistanceCost",
-    "DistanceVerdict",
-    "MissingEmbeddingError",
-    "ModeErrorBound",
-    "ModeVerdict",
-    "NegativeCostError",
-    "NonFiniteError",
-    "NotNormalizedError",
-    "Posterior",
-    "RiskReport",
-    "Scenario",
-    "SchemaError",
-    "SearchConfig",
-    "StateSpace",
-    "Violation",
-    "WitnessFamily",
-    "WorstCase",
-    "abs_profile",
-    "bayes_estimate",
-    "builtin_scenarios",
-    "check_mean_appropriate",
-    "check_median_appropriate",
-    "check_mode_appropriate",
-    "distance_to_matrix",
-    "expected_cost",
-    "mean_estimate",
-    "mean_scaling_residual",
-    "median_estimate",
-    "mode_estimate",
-    "mode_error_lower_bound",
-    "nearest_state",
-    "normalize_cost",
-    "parse_scenario",
-    "relative_error",
-    "relative_error_exact",
-    "render_report",
-    "report_to_dict",
-    "run_scenario",
-    "squared_profile",
-    "stationarity_residual",
-    "validate_cost",
-    "worst_case",
-    "zero_one_cost",
-]

@@ -1,10 +1,11 @@
 """Relative error of an estimate and the worst-case posterior search.
 
 The search is fully deterministic: structured two- and three-point
-families first (these realize the closed-form constructions, including
-the exact ties that our lowest-index tie-breaking turns into attained
-maxima), then a full simplex grid for small spaces, then coordinate
-hill climbing with a halving step.
+families first (near-uniform posteriors on two or three states, where
+the mode's worst cases often sit, including the exact ties that our
+lowest-index tie-breaking turns into attained maxima), then a full
+simplex grid for small spaces, then coordinate hill climbing with a
+halving step.
 
 Candidates are scored by an exact integer kernel.  The normalized cost
 matrix's integer form (``CostMatrix.scaled``, its entries times the

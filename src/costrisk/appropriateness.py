@@ -4,15 +4,27 @@ A cost function is appropriate for an estimation technique when the
 technique always returns the expected-cost-minimizing estimate.  For
 mode estimation the only appropriate costs are the trivial all-zero
 cost and the 0-1 cost; any other normalized matrix fails at least one
-of four structural conditions, and each failure comes with a
-constructive lower bound on the worst-case relative error plus the
-point-mass family that approaches it.
+of four structural conditions, which say why it fails.
 
-The mode checks run on the matrix's cached integer form
+How much the mode can overpay is computed exactly.  Relative error is a
+maximum of linear-fractional functions of the posterior, so it is
+quasiconvex, and its supremum over the posteriors whose mode is m is
+reached at a vertex of that region: the uniform posterior on a face, a
+subset S of the states that contains m.  A face's value is
+
+    max over m in S of sum_S c[m]  /  min over all o of sum_S c[o]  -  1
+
+(inf when only the denominator is 0), the limit of the relative error
+at the uniform posterior on S with m on top.  The supremum over all
+posteriors is the largest face value; for each pair (m, o) the best
+face is found by Dinkelbach's ratio iteration.
+
+Everything runs on the matrix's cached integer form
 (``CostMatrix.scaled``: entries V / L over one denominator L).  Each
-ENTRY_TOL test is an integer test against floor(L * ENTRY_TOL), each
-bound is an exact (num, den) pair compared by cross-multiplication,
-and only a reported bound is converted to float.
+ENTRY_TOL test of the conditions is an integer test against
+floor(L * ENTRY_TOL), each value is an exact (num, den) pair compared
+by cross-multiplication, and only a reported value is converted to
+float.
 
 For distance-form costs, mean estimation is cost minimizing only for
 quadratic profiles (the slope must scale exactly: n*f'(x) = f'(n*x))
@@ -21,7 +33,10 @@ and median estimation only for constant-slope profiles.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -35,6 +50,8 @@ CLOSED_FORM_TOL = 1e-6
 NUMERIC_TOL = 1e-3
 #: Mass-split factors probed by the mean check.
 SCALING_FACTORS = (2, 3, 5, 10)
+#: Points of the logarithmic grid the profile checks probe.
+GRID_POINTS = 50
 
 #: An exact nonnegative ratio as (num, den): num / den, or inf when den
 #: is 0.  Every such pair has den > 0 or equals INF, so a > b exactly
@@ -43,9 +60,9 @@ INF = (1, 0)
 ZERO = (0, 1)
 
 
-def _integer_view(cost: CostMatrix) -> tuple[tuple[tuple[int, ...], ...], int, int]:
-    """(rows, L, tol): the normalized cost's integer form and ENTRY_TOL on
-    its scale.
+def _integer_view(cost: CostMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(rows, tol): the normalized cost's integer rows (entries V / L over
+    one denominator L) and ENTRY_TOL on their scale.
 
     For integers, |V| <= L * ENTRY_TOL exactly when |V| <= floor(L *
     ENTRY_TOL) = tol, so "entries v = V / L and w = W / L differ by at
@@ -55,30 +72,96 @@ def _integer_view(cost: CostMatrix) -> tuple[tuple[tuple[int, ...], ...], int, i
     if not cost.normalized:
         raise NotNormalizedError("this check needs a normalized cost matrix")
     rows, L = cost.scaled
-    return rows, L, L * ENTRY_TOL.numerator // ENTRY_TOL.denominator
+    return rows, L * ENTRY_TOL.numerator // ENTRY_TOL.denominator
 
 
 def _exceeds(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] * b[1] > b[0] * a[1]
 
 
-def _ratio_bound(hi: int, lo: int, tol: int) -> tuple[int, int]:
-    """hi/lo - 1, the two-point relative-error limit; inf when lo is zero."""
-    if lo <= tol:
-        return INF
-    return hi - lo, lo
-
-
 def _as_float(v: tuple[int, int]) -> float:
     return v[0] / v[1] if v[1] else math.inf
+
+
+def _excess(num: int, den: int) -> tuple[int, int]:
+    """num / den - 1 as an exact pair: inf when only den is 0, and 0 when
+    both are (the relative-error convention)."""
+    if den == 0:
+        return INF if num else ZERO
+    return num - den, den
+
+
+def _subface_supremum(cols, states: tuple[int, ...], memo: dict) -> tuple[int, int]:
+    """Exact supremum over the posteriors supported on ``states``: the
+    best value among its faces of two or more states (a one-state face is
+    worth 0).  ``cols`` are the matrix's columns; ``memo`` maps each face
+    seen on this matrix to its sums (sum_S c[o] for every o) and value,
+    and a face's sums extend its prefix's by one column."""
+    best = ZERO
+    states = tuple(sorted(set(states)))
+    for size in range(2, len(states) + 1):
+        for face in itertools.combinations(states, size):
+            hit = memo.get(face)
+            if hit is None:
+                prefix = memo[face[:-1]][0] if size > 2 else cols[face[0]]
+                sums = list(map(operator.add, prefix, cols[face[-1]]))
+                hit = memo[face] = sums, _excess(max(map(sums.__getitem__, face)), min(sums))
+            if _exceeds(hit[1], best):
+                best = hit[1]
+    return best
+
+
+@functools.lru_cache(maxsize=1)
+def _supremum(rows) -> tuple[tuple[int, int], tuple[int, ...]]:
+    """(value, face): the exact supremum of the mode's relative error over
+    all posteriors, and a face that attains it with its mode first; the
+    face is () when the value is 0.
+
+    For each pair (m, o), Dinkelbach's iteration maximizes sum_S c[m] /
+    sum_S c[o] over the faces S that contain m.  At the best ratio P / Q
+    so far, m plus the states t with c[m][t] * Q > P * c[o][t] (never m
+    itself, whose cost is 0) maximize sum_S (c[m] * Q - P * c[o]); if
+    that face beats P / Q it becomes the new best and the pair goes
+    again, otherwise no face of the pair can beat it.  Starting each
+    pair at the best ratio so far, most pairs stop after one pass.
+
+    Cached for the last matrix: ``CostMatrix.scaled`` hands out the same
+    rows every time, so the verdict and the bound of one report share
+    one computation.
+    """
+    states = range(len(rows))
+    if all(row[t] == rows[0][-1] for s, row in enumerate(rows) for t in states if t != s):
+        # all off-diagonal costs equal: the trivial and the 0-1 cost, the
+        # two costs on which the mode never overpays
+        return ZERO, ()
+    P, Q = 1, 1
+    best: tuple[int, ...] = ()
+    for m, a in enumerate(rows):
+        for o, b in enumerate(rows):
+            if o == m:
+                continue
+            while True:
+                others = [t for t, x, y in zip(states, a, b) if x * Q > P * y]
+                num = sum(map(a.__getitem__, others))
+                den = b[m] + sum(map(b.__getitem__, others))
+                if den == 0 and num:
+                    return INF, (m, *others)
+                if num * Q <= P * den:
+                    break
+                P, Q, best = num, den, (m, *others)
+    return (_excess(P, Q) if best else ZERO), best
 
 
 @dataclass(frozen=True)
 class Violation:
     """One failed mode-appropriateness condition.
 
-    ``bound`` is a lower bound (> 0, possibly inf) on the worst-case
-    relative error that the violation forces on mode estimation.
+    ``bound`` is the exact supremum of the mode's relative error over the
+    posteriors supported on ``states`` (> 0, possibly inf), so it never
+    exceeds the supremum over all posteriors.  Asymmetry names its pair
+    and equivalence its zero pair plus the separating state; the
+    whole-matrix conditions, unequal_positive and zero_class, carry the
+    full supremum and its face (mode first) as their states.
     """
 
     condition: str  # asymmetry | equivalence | unequal_positive | zero_class
@@ -95,13 +178,10 @@ class ModeVerdict:
 
 @dataclass(frozen=True)
 class WitnessFamily:
-    """Point-mass posterior family approaching a worst case as eps -> 0.
+    """Posteriors approaching a face's value as eps -> 0: the uniform
+    posterior on ``states`` moved eps toward ``states[0]``, which keeps
+    that state the unique mode."""
 
-    ``kind`` matches the construction name; ``states`` carry the roles in
-    construction order.  ``posterior(eps)`` builds the concrete member.
-    """
-
-    kind: str
     states: tuple[int, ...]
     space_size: int
 
@@ -110,155 +190,36 @@ class WitnessFamily:
         if not 0 < eps < 1:
             raise CostRiskError("epsilon must be in (0, 1)")
         probs = [Fraction(0)] * self.space_size
-        if self.kind == "asymmetry":
-            s, t = self.states
-            probs[s] = (1 + eps) / 2
-            probs[t] = (1 - eps) / 2
-        elif self.kind == "equivalence":
-            # mode s, free substitute u, tiny mass on the separating state t
-            s, u, t = self.states
-            rest = 1 - eps
-            probs[t] = eps
-            probs[s] = rest * (1 + eps) / 2
-            probs[u] = rest * (1 - eps) / 2
-        elif self.kind in ("unequal_positive", "zero_class"):
-            # two states approach the mode u from below
-            *others, u = self.states[-3:]
-            s, t = others
-            probs[u] = (1 + 2 * eps) / 3
-            probs[s] = (1 - eps) / 3
-            probs[t] = (1 - eps) / 3
-        else:
-            raise CostRiskError(f"unknown witness family {self.kind!r}")
+        for t in self.states:
+            probs[t] = (1 - eps) / len(self.states)
+        probs[self.states[0]] += eps
         return Posterior(tuple(probs))
 
 
 @dataclass(frozen=True)
 class ModeErrorBound:
-    """Best closed-form lower bound on mode estimation's relative error."""
+    """The exact supremum of mode estimation's relative error, with the
+    face that attains it (mode first) and its witness family; a lower
+    bound on the mode's worst case that the worst case reaches."""
 
     value: float
-    construction: str  # asymmetry | equivalence | unequal_positive | zero_class | none
+    construction: str  # vertex | none
     states: tuple[int, ...]
     witness: WitnessFamily | None
 
 
-def _asymmetry_bounds(rows, L, tol):
-    """Two-point constructions for asymmetric positive pairs.
-
-    With all mass nearly tied between s and t, the mode is forced onto
-    the costlier report; the relative error approaches the cost ratio
-    minus one.
-    """
-    n = len(rows)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = rows[i][j], rows[j][i]
-            if a <= tol or b <= tol or abs(a - b) <= tol:
-                continue
-            if a > b:
-                yield (a - b, b), (i, j)
-            else:
-                yield (b - a, a), (j, i)
-
-
-def _equivalence_bounds(rows, L, tol):
-    """Free-substitute constructions: reporting s costs nothing when u is
-    true, yet s and u price some third state t differently.
-
-    Mass concentrates on s (the mode) and u with a vanishing sliver on
-    t; the substitute u then beats the mode by the row ratio.
-    """
-    n = len(rows)
-    for s in range(n):
-        row_s = rows[s]
-        for u in range(n):
-            if s == u or row_s[u] > tol:
-                continue
-            row_u = rows[u]
-            for t in range(n):
-                if t == s or t == u:
-                    continue
-                a, b = row_s[t], row_u[t]
-                if a - b > tol:
-                    yield _ratio_bound(a, b, tol), (s, u, t)
-
-
-def _unequal_positive_bounds(rows, L, tol):
-    """Near-tie triple constructions for two unequal positive costs.
-
-    All three states approach equal probability with u on top, so the
-    mode reports u while a cheaper estimate exists; which of s or t is
-    the minimizer depends on how u prices against them.  The bound is
-    num / den - 1, and den >= E[s][t] > 0.
-    """
-    n = len(rows)
-    for s in range(n):
-        row_s = rows[s]
-        for t in range(n):
-            a = row_s[t]
-            if t == s or a <= tol:
-                continue
-            row_t = rows[t]
-            for u in range(n):
-                c = row_t[u]
-                if u == s or u == t or c - a <= tol:
-                    continue
-                su, ut = row_s[u], rows[u][t]
-                num = su + ut
-                den = su + a if su < c else a + ut
-                if num > den:
-                    yield (num - den, den), (s, t, u)
-
-
-def _zero_class_bounds(rows, L, tol):
-    """Zero-pair-plus-unit-state constructions.
-
-    When s and t substitute for each other for free and a third state u
-    trades with both at the maximum cost, pushing the pair toward a
-    three-way tie drives the relative error to 1.
-    """
-    n = len(rows)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] > tol or rows[j][i] > tol:
-                continue
-            for u in range(n):
-                if u in (i, j):
-                    continue
-                if all(
-                    abs(v - L) <= tol
-                    for v in (rows[i][u], rows[j][u], rows[u][i], rows[u][j])
-                ):
-                    yield (1, 1), (i, j, u)
-
-
 def mode_error_lower_bound(cost: CostMatrix) -> ModeErrorBound:
-    """Largest relative-error lower bound over the known constructions.
+    """The exact supremum of the mode's relative error over all posteriors.
 
-    Enumerates every ordered pair and triple of states, evaluates each
-    applicable construction, and returns the maximum with the states and
-    the point-mass witness family that approaches it.  Appropriate
-    matrices (trivial or 0-1) admit no construction and get value 0.
+    Appropriate matrices (trivial or 0-1) have value 0, construction
+    "none" and no witness; every other normalized matrix has a value > 0,
+    attained in the limit by the uniform posterior on the returned face.
     """
-    view = _integer_view(cost)
-    best = ZERO
-    best_kind = "none"
-    best_states: tuple[int, ...] = ()
-    generators = (
-        ("asymmetry", _asymmetry_bounds),
-        ("equivalence", _equivalence_bounds),
-        ("unequal_positive", _unequal_positive_bounds),
-        ("zero_class", _zero_class_bounds),
-    )
-    for kind, gen in generators:
-        for val, states in gen(*view):
-            if _exceeds(val, best):
-                best, best_kind, best_states = val, kind, states
-    witness = None
-    if best_kind != "none":
-        witness = WitnessFamily(best_kind, best_states, cost.size)
-    return ModeErrorBound(_as_float(best), best_kind, best_states, witness)
+    rows, _ = _integer_view(cost)
+    value, face = _supremum(rows)
+    if not face:
+        return ModeErrorBound(0.0, "none", (), None)
+    return ModeErrorBound(_as_float(value), "vertex", face, WitnessFamily(face, cost.size))
 
 
 def check_mode_appropriate(cost: CostMatrix) -> ModeVerdict:
@@ -271,20 +232,20 @@ def check_mode_appropriate(cost: CostMatrix) -> ModeVerdict:
     first.  A matrix passing all four is either trivial (all zero) or a
     0-1 cost, the only two classifications mode estimation can trust.
     """
-    view = _integer_view(cost)
-    E, L, tol = view
+    E, tol = _integer_view(cost)
     n = cost.size
     violations: list[Violation] = []
+    cols = tuple(zip(*E))
+    faces: dict = {}
+
+    def bound(states: tuple[int, ...]) -> float:
+        return _as_float(_subface_supremum(cols, states, faces))
 
     # (a) symmetry
     for i in range(n):
         for j in range(i + 1, n):
-            a, b = E[i][j], E[j][i]
-            if abs(a - b) > tol:
-                hi, lo = (a, b) if a > b else (b, a)
-                violations.append(
-                    Violation("asymmetry", (i, j), _as_float(_ratio_bound(hi, lo, tol)))
-                )
+            if abs(E[i][j] - E[j][i]) > tol:
+                violations.append(Violation("asymmetry", (i, j), bound((i, j))))
 
     # (b) zero-cost equivalence: either direction of a zero pair demands
     # identical rows and identical columns for the pair
@@ -293,61 +254,23 @@ def check_mode_appropriate(cost: CostMatrix) -> ModeVerdict:
             if E[i][j] > tol and E[j][i] > tol:
                 continue
             for t in range(n):
-                row_a, row_b = E[i][t], E[j][t]
-                col_a, col_b = E[t][i], E[t][j]
-                row_bad = abs(row_a - row_b) > tol
-                col_bad = abs(col_a - col_b) > tol
-                if not (row_bad or col_bad):
-                    continue
-                bound = ZERO
-                if row_bad:
-                    bound = _ratio_bound(max(row_a, row_b), min(row_a, row_b), tol)
-                if col_bad:
-                    col = _ratio_bound(max(col_a, col_b), min(col_a, col_b), tol)
-                    if _exceeds(col, bound):
-                        bound = col
-                violations.append(Violation("equivalence", (i, j, t), _as_float(bound)))
+                if abs(E[i][t] - E[j][t]) > tol or abs(E[t][i] - E[t][j]) > tol:
+                    violations.append(Violation("equivalence", (i, j, t), bound((i, j, t))))
 
-    # (c) all strictly positive entries share one value
-    positives = [(E[s][t], s, t) for s in range(n) for t in range(n) if E[s][t] > tol]
-    if positives:
-        lo = min(positives)
-        hi = max(positives)
-        if hi[0] - lo[0] > tol:
-            triple = None
-            for bound_val, states in _unequal_positive_bounds(*view):
-                if triple is None or _exceeds(bound_val, triple[0]):
-                    triple = (bound_val, states)
-            if triple is not None:
-                violations.append(
-                    Violation("unequal_positive", triple[1], _as_float(triple[0]))
-                )
-            else:
-                # no linking triple (disjoint unequal pairs): fall back to
-                # the two-point ratio of the extreme values
-                violations.append(
-                    Violation(
-                        "unequal_positive",
-                        (hi[1], hi[2], lo[1], lo[2]),
-                        _as_float(_ratio_bound(hi[0], lo[0], tol)),
-                    )
-                )
+    # (c) all strictly positive entries share one value, and (d) no
+    # zero-cost pair alongside a positive entry: both concern the whole
+    # matrix, so both carry the full supremum
+    positives = [v for row in E for v in row if v > tol]
+    zero_pair = any(E[i][j] <= tol for i in range(n) for j in range(n) if i != j)
+    for condition, failed in (
+        ("unequal_positive", positives and max(positives) - min(positives) > tol),
+        ("zero_class", positives and zero_pair),
+    ):
+        if failed:
+            value, face = _supremum(E)
+            violations.append(Violation(condition, face, _as_float(value)))
 
-    # (d) a zero-cost pair alongside any positive entry
-    zero_pair = next(
-        ((i, j) for i in range(n) for j in range(n) if i != j and E[i][j] <= tol),
-        None,
-    )
-    if zero_pair is not None and positives:
-        unit = next(
-            ((s, t) for v, s, t in positives if abs(v - L) <= tol),
-            (positives[0][1], positives[0][2]),
-        )
-        violations.append(
-            Violation("zero_class", (*zero_pair, *unit), 1.0)
-        )
-
-    if max(v for row in E for v in row) <= tol:
+    if not positives:
         classification = "trivial"
     else:
         off_diag = [E[s][t] for s in range(n) for t in range(n) if s != t]
@@ -381,21 +304,17 @@ def mean_scaling_residual(profile: DistanceCost, x: float, n: int) -> float:
     return abs(n * fp_x - fp_nx) / max(1.0, abs(fp_nx))
 
 
-def _log_grid(diameter: float, samples: int) -> list[float]:
+def _log_grid(diameter: float) -> list[float]:
     # three decades up to the diameter
     lo = diameter * 1e-3
-    if samples == 1:
-        return [lo]
-    return [lo * (diameter / lo) ** (k / (samples - 1)) for k in range(samples)]
+    return [lo * (diameter / lo) ** (k / (GRID_POINTS - 1)) for k in range(GRID_POINTS)]
 
 
 def _profile_tolerance(profile: DistanceCost) -> float:
     return CLOSED_FORM_TOL if profile.closed_form else NUMERIC_TOL
 
 
-def check_mean_appropriate(
-    profile: DistanceCost, diameter: float, samples: int = 50
-) -> DistanceVerdict:
+def check_mean_appropriate(profile: DistanceCost, diameter: float) -> DistanceVerdict:
     """Decide whether mean estimation can trust this distance profile.
 
     Probes the slope-scaling residual on a logarithmic grid of x in
@@ -405,13 +324,11 @@ def check_mean_appropriate(
     """
     if diameter <= 0:
         raise CostRiskError("diameter must be positive")
-    if samples < 1:
-        raise CostRiskError("samples must be at least 1")
     tol = _profile_tolerance(profile)
     worst = 0.0
     worst_x = 0.0
     worst_n: int | None = None
-    for x in _log_grid(diameter, samples):
+    for x in _log_grid(diameter):
         for k in SCALING_FACTORS:
             if k * x > diameter * (1 + 1e-12):
                 continue
@@ -421,9 +338,7 @@ def check_mean_appropriate(
     return DistanceVerdict(worst < tol, worst, worst_x, worst_n, tol)
 
 
-def check_median_appropriate(
-    profile: DistanceCost, diameter: float, samples: int = 50
-) -> DistanceVerdict:
+def check_median_appropriate(profile: DistanceCost, diameter: float) -> DistanceVerdict:
     """Decide whether median estimation can trust this distance profile.
 
     The slope must be constant: every grid point is compared against the
@@ -431,10 +346,8 @@ def check_median_appropriate(
     """
     if diameter <= 0:
         raise CostRiskError("diameter must be positive")
-    if samples < 1:
-        raise CostRiskError("samples must be at least 1")
     tol = _profile_tolerance(profile)
-    grid = _log_grid(diameter, samples)
+    grid = _log_grid(diameter)
     base = profile.slope(grid[0])
     worst = 0.0
     worst_x = grid[0]

@@ -21,6 +21,7 @@ identical scenarios produce byte-identical output.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -122,6 +123,13 @@ def _matrix(value: Any, n: int, path: str) -> tuple[tuple[float, ...], ...]:
     return tuple(rows)
 
 
+@functools.lru_cache(maxsize=1)
+def _posterior(distribution: tuple[float, ...]) -> Posterior:
+    """Posterior's exact check is the one rule for a distribution; parsing
+    and running a scenario share the object it builds."""
+    return Posterior(distribution)
+
+
 def scenario_from_dict(doc: Any, path: str = "$") -> Scenario:
     _expect(isinstance(doc, dict), path, "expected a JSON object")
     known = {"name", "states", "embedding", "cost", "distribution", "estimators", "search"}
@@ -189,16 +197,10 @@ def scenario_from_dict(doc: Any, path: str = "$") -> Scenario:
     else:
         distribution = _number_list(dist_raw, f"{path}.distribution")
         _expect(len(distribution) == n, f"{path}.distribution", f"expected {n} probabilities")
-        _expect(
-            all(p >= 0 for p in distribution),
-            f"{path}.distribution",
-            "probabilities must be nonnegative",
-        )
-        _expect(
-            abs(sum(distribution) - 1.0) <= 1e-9,
-            f"{path}.distribution",
-            f"probabilities sum to {sum(distribution)!r}, expected 1 within 1e-9",
-        )
+        try:
+            _posterior(distribution)
+        except CostRiskError as exc:
+            raise SchemaError(f"{path}.distribution", str(exc)) from exc
 
     default_estimators = (
         list(ESTIMATOR_NAMES) if embedding is not None else ["mode", "bayes"]
@@ -368,7 +370,7 @@ def run_scenario(sc: Scenario) -> RiskReport:
             else:
                 if post is None:
                     # one Posterior, so every estimator shares its integer form
-                    post = Posterior(tuple(sc.distribution))
+                    post = _posterior(tuple(sc.distribution))
                 estimates[name] = _estimate_block(name, sc, post, cost, space)
         except CostRiskError as exc:
             raise ScenarioFieldError("estimators", f"{name}: {exc}") from exc

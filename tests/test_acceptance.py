@@ -44,8 +44,8 @@ def test_criterion_2_three_state_absolute_difference():
     cost = cr.normalize_cost(cr.distance_to_matrix(cr.abs_profile(), space))
     bound = cr.mode_error_lower_bound(cost)
     assert bound.value == 0.5
-    assert bound.construction == "unequal_positive"
-    assert bound.states == (1, 0, 2)
+    assert bound.construction == "vertex"
+    assert bound.states == (0, 1, 2)
     wc = cr.worst_case(
         "mode", cost, space, cr.SearchConfig(resolution=1e-2, refine_iterations=10)
     )
@@ -71,8 +71,8 @@ def test_criterion_3_two_coin_game():
         for v in verdict.violations
     )
     bound = cr.mode_error_lower_bound(cost)
-    assert bound.value == 1.0
-    assert bound.construction == "equivalence"
+    assert bound.value == 2.0  # the exact supremum
+    assert bound.construction == "vertex"
     wc = cr.worst_case(
         "mode", cost, config=cr.SearchConfig(resolution=0.05, refine_iterations=10)
     )

@@ -1,4 +1,4 @@
-"""Appropriateness verdicts, lower-bound constructions, profile checks."""
+"""Appropriateness verdicts, the exact mode supremum, profile checks."""
 
 import math
 import random
@@ -14,8 +14,9 @@ from costrisk.model import ENTRY_TOL
 
 from conftest import random_float_cost, random_valid_cost, rational_posterior
 from reference_appropriateness import (
+    LOCAL_CONDITIONS,
     reference_check_mode_appropriate,
-    reference_mode_error_lower_bound,
+    reference_supremum,
 )
 
 _ETA = Fraction(1, 2**60)
@@ -40,6 +41,14 @@ _NEAR_TOL_FLOATS = sorted(
         for x in (math.nextafter(float(v), 0.0), float(v), math.nextafter(float(v), 2.0))
     }
 )
+
+
+#: Matrices whose closed-form bounds overstated the supremum, with the
+#: exact supremum after normalization.
+OVERSTATED_MATRICES = [
+    ([[0, 3, 13], [2, 0, 14], [11, 13, 0]], Fraction(1, 2)),
+    ([[0, 16, 0], [6, 0, 5], [0, 6, 0]], Fraction(5, 3)),
+]
 
 
 class TestCheckModeAppropriate:
@@ -68,8 +77,9 @@ class TestCheckModeAppropriate:
         verdict = cr.check_mode_appropriate(two_coin_cost)
         assert not verdict.appropriate
         equiv = [v for v in verdict.violations if v.condition == "equivalence"]
-        # reporting HH is free when HT holds, yet they price TH differently
-        assert any(v.states == (0, 1, 2) and v.bound == 1.0 for v in equiv)
+        # reporting HH is free when HT holds, yet they price TH differently;
+        # on those three states the mode can overpay by 2x
+        assert any(v.states == (0, 1, 2) and v.bound == 2.0 for v in equiv)
 
     def test_three_state_unequal_positive(self, three_abs_cost):
         verdict = cr.check_mode_appropriate(three_abs_cost)
@@ -134,21 +144,23 @@ class TestModeErrorLowerBound:
     def test_coin_game(self, coin_cost):
         bound = cr.mode_error_lower_bound(coin_cost)
         assert bound.value == 0.5
-        assert bound.construction == "asymmetry"
+        assert bound.construction == "vertex"
         assert bound.states == (0, 1)
 
     def test_three_state_triple(self, three_abs_cost):
         bound = cr.mode_error_lower_bound(three_abs_cost)
         assert bound.value == 0.5
-        assert bound.construction == "unequal_positive"
-        assert bound.states == (1, 0, 2)
+        assert bound.construction == "vertex"
+        # the three-way tie with an end state on top
+        assert bound.states == (0, 1, 2)
 
     def test_two_coin_zero_substitute(self, two_coin_cost):
         bound = cr.mode_error_lower_bound(two_coin_cost)
-        assert bound.value == 1.0
-        assert bound.construction == "equivalence"
-        # mode HT, free substitute HH, separated on TH
-        assert bound.states == (1, 0, 2)
+        assert bound.value == 2.0
+        assert bound.construction == "vertex"
+        # mode TH over the free pair HH, HT: summed over the face, HH
+        # costs 1/2 and TH 3/2
+        assert bound.states == (2, 0, 1)
 
     def test_zero_one_no_construction(self):
         bound = cr.mode_error_lower_bound(cr.zero_one_cost(4))
@@ -159,8 +171,8 @@ class TestModeErrorLowerBound:
     def test_zero_class_limit(self, zero_class_cost):
         bound = cr.mode_error_lower_bound(zero_class_cost)
         assert bound.value == 1.0
-        assert bound.construction == "zero_class"
-        assert bound.states == (0, 1, 2)
+        assert bound.construction == "vertex"
+        assert bound.states == (2, 0, 1)
 
     def test_requires_normalized(self, two_coin_raw):
         with pytest.raises(NotNormalizedError):
@@ -168,39 +180,129 @@ class TestModeErrorLowerBound:
 
     def test_two_state_one_way_zero_pair(self):
         # a normalized 2x2 with an off-diagonal zero is necessarily
-        # asymmetric; the checks flag it (unbounded) even though none of
-        # the closed-form constructions needs to fire
+        # asymmetric: near the tie the mode reports the state whose cost
+        # is positive while the other report costs nothing
         cost = cr.CostMatrix([[0, 0], [1, 0]], normalized=True)
         verdict = cr.check_mode_appropriate(cost)
         assert not verdict.appropriate
         conditions = {v.condition for v in verdict.violations}
         assert "asymmetry" in conditions and "zero_class" in conditions
-        assert any(v.bound == math.inf for v in verdict.violations)
+        assert all(v.bound == math.inf for v in verdict.violations)
         bound = cr.mode_error_lower_bound(cost)
-        assert bound.value == 0.0 and bound.construction == "none"
+        assert bound.value == math.inf and bound.construction == "vertex"
+        assert bound.states == (1, 0)
         # the search still certifies the unbounded worst case
         wc = cr.worst_case("mode", cost, config=cr.SearchConfig(resolution=0.1))
         assert wc.unbounded
+
+    @pytest.mark.parametrize("raw, exact", OVERSTATED_MATRICES)
+    def test_formerly_overstated_bounds(self, raw, exact):
+        # closed forms once reported 0.923 and 2.2 here
+        cost = cr.normalize_cost(cr.validate_cost(raw))
+        assert cr.mode_error_lower_bound(cost).value == float(exact)
+        assert max(v.bound for v in cr.check_mode_appropriate(cost).violations) == float(exact)
 
     def test_witness_families_realize_bounds(
         self, coin_cost, two_coin_cost, three_abs_cost, zero_class_cost
     ):
         # limits are approached, never attained: at eps = 1e-4 the witness
-        # must already collect at least 90% of the claimed bound
-        for cost in (coin_cost, two_coin_cost, three_abs_cost, zero_class_cost):
+        # must already collect at least 90% of the claimed bound, and an
+        # unbounded one must stay unbounded
+        costs = [coin_cost, two_coin_cost, three_abs_cost, zero_class_cost]
+        costs += [cr.normalize_cost(cr.validate_cost(raw)) for raw, _ in OVERSTATED_MATRICES]
+        costs.append(cr.CostMatrix([[0, 0], [1, 0]], normalized=True))
+        for cost in costs:
             bound = cr.mode_error_lower_bound(cost)
             post = bound.witness.posterior(Fraction(1, 10000))
-            achieved = cr.relative_error(cr.mode_estimate(post), post, cost)
-            assert achieved >= 0.9 * bound.value
+            mode = cr.mode_estimate(post)
+            assert mode == bound.states[0]
+            achieved = cr.relative_error(mode, post, cost)
+            if bound.value == math.inf:
+                assert achieved == math.inf
+            else:
+                assert 0.9 * bound.value <= achieved <= bound.value
 
 
-class TestMatchesReference:
-    """The integer checks against their plain Fraction reference."""
+def _zero_pair_cost(rng: random.Random, n: int) -> cr.CostMatrix:
+    """Matrix of small integers with at least one zero-cost pair."""
+    n = max(n, 2)
+    entries = [[0 if s == t else rng.choice((0, 1, 1, 2, 3)) for t in range(n)]
+               for s in range(n)]
+    i, j = rng.sample(range(n), 2)
+    entries[i][j] = 0
+    if rng.random() < 0.5:
+        entries[j][i] = 0
+    return cr.validate_cost(entries)
+
+
+_COST_MAKERS = {
+    "valid": random_valid_cost,
+    "float": random_float_cost,
+    "zero_pair": _zero_pair_cost,
+}
+
+
+def _random_cost(kind: str, seed: int, n: int) -> cr.CostMatrix:
+    return cr.normalize_cost(_COST_MAKERS[kind](random.Random(seed), n))
+
+
+class TestExactSupremum:
+    """The exact core against the 2^n face enumeration."""
 
     @staticmethod
     def _check(cost):
-        assert cr.check_mode_appropriate(cost) == reference_check_mode_appropriate(cost)
-        assert cr.mode_error_lower_bound(cost) == reference_mode_error_lower_bound(cost)
+        exact = reference_supremum(cost)
+        bound = cr.mode_error_lower_bound(cost)
+        verdict = cr.check_mode_appropriate(cost)
+        assert bound.value == float(exact)
+        # the mode theorem: the mode never overpays exactly on trivial and 0-1 costs
+        assert (exact == 0) == verdict.appropriate
+        if exact == 0:
+            assert (bound.construction, bound.states, bound.witness) == ("none", (), None)
+        else:
+            assert bound.construction == "vertex"
+            # the witness face attains the supremum on its own
+            assert reference_supremum(cost, bound.states) == exact
+        for v in verdict.violations:
+            # sound by construction: the supremum over the violation's states
+            assert v.bound == float(reference_supremum(cost, v.states))
+            assert 0 < v.bound <= bound.value
+            if v.condition not in LOCAL_CONDITIONS:
+                assert v.bound == bound.value
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7),
+           kind=st.sampled_from(sorted(_COST_MAKERS)))
+    @settings(max_examples=200, deadline=None)
+    def test_random_costs(self, seed, n, kind):
+        self._check(_random_cost(kind, seed, n))
+
+    @pytest.mark.parametrize("kind", sorted(_COST_MAKERS))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_eight_states(self, kind, seed):
+        self._check(_random_cost(kind, seed, 8))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_appropriate_costs(self, n):
+        trivial = cr.normalize_cost(cr.validate_cost([[1] * n for _ in range(n)]))
+        for cost in (cr.zero_one_cost(n), trivial):
+            self._check(cost)
+
+
+class TestMatchesReference:
+    """The integer conditions against their plain Fraction reference."""
+
+    @staticmethod
+    def _check(cost):
+        verdict = cr.check_mode_appropriate(cost)
+        classification, violations = reference_check_mode_appropriate(cost)
+        assert verdict.classification == classification
+        assert verdict.appropriate == (classification in ("zero_one", "trivial"))
+        assert [
+            (v.condition, v.states if v.condition in LOCAL_CONDITIONS else None)
+            for v in verdict.violations
+        ] == violations
+        for v in verdict.violations:
+            assert v.bound == float(reference_supremum(cost, v.states)) > 0
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), floats=st.booleans())
     @settings(max_examples=150, deadline=None)

@@ -17,14 +17,14 @@ from costrisk.cli import main
 from costrisk.scenario import parse_scenario, render_report, run_scenario
 
 GOLDEN = {
-    ("coin_game", "json"): "0d9ca18e8fcd4855c5c52a634069eb5406a781484414e46ce45594fb42ceed64",
-    ("coin_game", "text"): "3b2e48bebd7e9058d1adca20d40d6cfe5cf7c275d7cc7755d530ef17b7eae9a3",
-    ("three_state_abs", "json"): "2cd32a6fc3dbc1fc4fdb6030d2c1144f33e9661e86f8753fcee29d9492dae062",
-    ("three_state_abs", "text"): "5aa3d07a95a84daea1866a00a9fdb9138639a86a5832e8dc44fe5d55e9a7bcc0",
-    ("two_coin", "json"): "0bdf9d5ba007464ec6eafd6120facc29cd4afbf8179f985db20420b94f80d004",
-    ("two_coin", "text"): "c3ab1e69712771e16e88808c5428d7a78a17754d2595c438abd7ee9313731489",
-    ("zero_class", "json"): "f932fd79a8908473044bbed0cc84f16731537bc003f2c1b0b02521bb3a377d1c",
-    ("zero_class", "text"): "891cbacfad7c4bf40b72e8403ca52de10a0d6b3645076da260593cbafe3b3221",
+    ("coin_game", "json"): "1ecc4d4b9d04ec7bfbe31b4147278db8e9750fe2a00d443cd012165864996760",
+    ("coin_game", "text"): "cd30049ce46ff76fa78531ce1f59329aa3743974d263f95be04a055c3fed32bf",
+    ("three_state_abs", "json"): "348b97c0a8437271829dc17325fd1d0806df3f6142ce5b8c87129334274a850e",
+    ("three_state_abs", "text"): "3b13ffefa1645a9b5e34949cac38d6f2c388ba6671119231cb0ab79b053c9540",
+    ("two_coin", "json"): "c09a2072d331634710d56341ff79d0bc4e4d04e35f2fd358270d4d5d07d68c4b",
+    ("two_coin", "text"): "110dc86b5aa18fd05efa454e24e1f84e447fd1024360c4f0621354140323e4b7",
+    ("zero_class", "json"): "b02b6395a2251a35b8144cd292851f65aac6e4e1e7b960061a0465e1f440cfa3",
+    ("zero_class", "text"): "fc0f7611e3da3f26416bf80232ad995c24aa1f0dc36ddc0af3f2631ced44ca99",
 }
 
 
@@ -38,8 +38,8 @@ def test_builtin_report_bytes(name, fmt, capsys):
 EXPLICIT_KINDS = ("matrix_ties", "matrix_float", "payoff", "abs", "squared", "zero_one")
 
 EXPLICIT_GOLDEN = {
-    "json": "31970a7eb4a0f4378bcf886e81c4779d293b6e28be870a6c2ca3dcc073a0506f",
-    "text": "d64d8531e4e1bfda92c3250307d7d1b47a8f481470482131c601fc6b13a554f8",
+    "json": "b9e8d4dcac222036b50f105e06c85e8cee1e7e332d2111ddecaad850ccfcbae0",
+    "text": "5253db51a35ec8a938e45461c9336929d554b5da9ea2b280ac85bef18c370919",
 }
 
 

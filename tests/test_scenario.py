@@ -63,6 +63,13 @@ class TestParseScenario:
             cr.parse_scenario(as_json(doc))
         assert err.value.path == path
 
+    def test_distribution_sum_is_checked_exactly(self):
+        # the exact sum of these doubles is within 1e-9 of 1, their float
+        # sum is not; the schema follows Posterior's exact rule
+        doc = dict(MINIMAL, distribution=[0.5, 0.500000001])
+        report = cr.run_scenario(cr.parse_scenario(as_json(doc)))
+        assert report.estimates["mode"]["estimate"] == "b"
+
     def test_distance_profile_needs_embedding(self):
         doc = dict(MINIMAL, cost={"profile": "abs"})
         with pytest.raises(SchemaError) as err:
@@ -229,6 +236,13 @@ class TestCli:
         path.write_text(as_json(dict(MINIMAL, cost={"profile": "cubic"})))
         assert main(["analyze", str(path)]) == 1
         assert "cost.profile" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dist", [[0.5, 0.4], [0.5, -0.5]])
+    def test_bad_distribution_exits_1(self, dist, tmp_path, capsys):
+        path = tmp_path / "dist.json"
+        path.write_text(as_json(dict(MINIMAL, distribution=dist)))
+        assert main(["analyze", str(path)]) == 1
+        assert "$.distribution" in capsys.readouterr().err
 
     def test_validation_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "invalid.json"
