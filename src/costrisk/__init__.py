@@ -23,16 +23,13 @@ from .appropriateness import (
     check_mean_appropriate,
     check_median_appropriate,
     check_mode_appropriate,
-    mean_scaling_residual,
     mode_error_lower_bound,
 )
 from .errors import (
     CostRiskError,
-    DerivativeUnavailableError,
     DiagonalNotMinimalError,
     DimensionMismatchError,
     MissingEmbeddingError,
-    NegativeCostError,
     NonFiniteError,
     NotNormalizedError,
 )
@@ -44,7 +41,6 @@ from .estimators import (
     median_estimate,
     mode_estimate,
     nearest_state,
-    stationarity_residual,
 )
 from .model import (
     CostMatrix,

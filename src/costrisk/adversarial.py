@@ -27,6 +27,7 @@ its worst case is that first candidate, returned without a search.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,7 +67,8 @@ class SearchConfig:
     the limit-construction witnesses; support_cap bounds the structured
     support size (2 = pairs only, >= 3 adds triples).  resolution and
     refine_iterations are capped by MIN_RESOLUTION and
-    MAX_REFINE_ITERATIONS.
+    MAX_REFINE_ITERATIONS.  support_cap and refine_iterations must be
+    ints, resolution and epsilon real numbers; bools are neither.
     """
 
     resolution: float = 0.05
@@ -75,6 +77,14 @@ class SearchConfig:
     epsilon: float = 1e-4
 
     def __post_init__(self):
+        for name in ("support_cap", "refine_iterations"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise CostRiskError(f"{name} must be a whole number, got {value!r}")
+        for name in ("resolution", "epsilon"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise CostRiskError(f"{name} must be a number, got {value!r}")
         if not MIN_RESOLUTION <= self.resolution <= 0.5:
             raise CostRiskError(f"resolution must be in [{MIN_RESOLUTION}, 0.5]")
         if self.support_cap < 2:
@@ -83,7 +93,7 @@ class SearchConfig:
             raise CostRiskError(
                 f"refine_iterations must be in [0, {MAX_REFINE_ITERATIONS}]"
             )
-        if not 0 < float(self.epsilon) < 1:
+        if not 0 < self.epsilon < 1:
             raise CostRiskError("epsilon must be in (0, 1)")
 
 

@@ -1,10 +1,15 @@
 """Classify cost functions by whether an estimator can safely use them.
 
 A cost function is appropriate for an estimation technique when the
-technique always returns the expected-cost-minimizing estimate.  For
-mode estimation the only appropriate costs are the trivial all-zero
-cost and the 0-1 cost; any other normalized matrix fails at least one
-of four structural conditions, which say why it fails.
+technique always returns the expected-cost-minimizing estimate.  Each
+verdict is the paper's theorem, decided exactly:
+
+- Mode estimation is appropriate only for the trivial all-zero cost and
+  the 0-1 cost, that is, exactly when the supremum of its relative error,
+  computed below, is 0.  Every other normalized matrix fails at least one of four
+  structural conditions, which say why it fails.
+- For the distance costs |d|^p, mean estimation is appropriate only for
+  p = 2 and median estimation only for p = 1.
 
 How much the mode can overpay is computed exactly.  Relative error is a
 maximum of linear-fractional functions of the posterior, so it is
@@ -20,15 +25,10 @@ posteriors is the largest face value; for each pair (m, o) the best
 face is found by Dinkelbach's ratio iteration.
 
 Everything runs on the matrix's cached integer form
-(``CostMatrix.scaled``: entries V / L over one denominator L).  Each
-ENTRY_TOL test of the conditions is an integer test against
-floor(L * ENTRY_TOL), each value is an exact (num, den) pair compared
-by cross-multiplication, and only a reported value is converted to
-float.
-
-For distance-form costs, mean estimation is cost minimizing only for
-quadratic profiles (the slope must scale exactly: n*f'(x) = f'(n*x))
-and median estimation only for constant-slope profiles.
+(``CostMatrix.scaled``: entries V / L over one denominator L).  The
+conditions compare those integers for exact equality, each value is an
+exact (num, den) pair compared by cross-multiplication, and only a
+reported value is converted to float.
 """
 
 from __future__ import annotations
@@ -42,16 +42,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import CostRiskError, NotNormalizedError
-from .model import ENTRY_TOL, CostMatrix, DistanceCost, Posterior, to_fraction
-
-#: Residual tolerance for closed-form derivatives.
-CLOSED_FORM_TOL = 1e-6
-#: Residual tolerance for numerically differenced profiles.
-NUMERIC_TOL = 1e-3
-#: Mass-split factors probed by the mean check.
-SCALING_FACTORS = (2, 3, 5, 10)
-#: Points of the logarithmic grid the profile checks probe.
-GRID_POINTS = 50
+from .model import CostMatrix, DistanceCost, Posterior, to_fraction
 
 #: An exact nonnegative ratio as (num, den): num / den, or inf when den
 #: is 0.  Every such pair has den > 0 or equals INF, so a > b exactly
@@ -60,19 +51,12 @@ INF = (1, 0)
 ZERO = (0, 1)
 
 
-def _integer_view(cost: CostMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(rows, tol): the normalized cost's integer rows (entries V / L over
-    one denominator L) and ENTRY_TOL on their scale.
-
-    For integers, |V| <= L * ENTRY_TOL exactly when |V| <= floor(L *
-    ENTRY_TOL) = tol, so "entries v = V / L and w = W / L differ by at
-    most ENTRY_TOL" is abs(V - W) <= tol.  Normalized entries are
-    nonnegative, so "v is zero within ENTRY_TOL" is V <= tol.
-    """
+def _integer_rows(cost: CostMatrix) -> tuple[tuple[int, ...], ...]:
+    """The normalized cost's integer rows: entries V / L over one
+    denominator L, so two entries are equal exactly when their V are."""
     if not cost.normalized:
         raise NotNormalizedError("this check needs a normalized cost matrix")
-    rows, L = cost.scaled
-    return rows, L * ENTRY_TOL.numerator // ENTRY_TOL.denominator
+    return cost.scaled[0]
 
 
 def _exceeds(a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -215,24 +199,30 @@ def mode_error_lower_bound(cost: CostMatrix) -> ModeErrorBound:
     "none" and no witness; every other normalized matrix has a value > 0,
     attained in the limit by the uniform posterior on the returned face.
     """
-    rows, _ = _integer_view(cost)
-    value, face = _supremum(rows)
+    value, face = _supremum(_integer_rows(cost))
     if not face:
         return ModeErrorBound(0.0, "none", (), None)
     return ModeErrorBound(_as_float(value), "vertex", face, WitnessFamily(face, cost.size))
 
 
 def check_mode_appropriate(cost: CostMatrix) -> ModeVerdict:
-    """Run the four necessary conditions for mode estimation in order.
+    """Decide mode appropriateness and run the four necessary conditions.
 
-    (a) symmetry; (b) zero-cost pairs must make the two states fully
-    interchangeable (identical rows and identical columns); (c) all
-    strictly positive entries equal; (d) no zero-cost pair may coexist
-    with positive entries.  Every failure is reported, not just the
-    first.  A matrix passing all four is either trivial (all zero) or a
-    0-1 cost, the only two classifications mode estimation can trust.
+    The verdict is the mode theorem: mode estimation always reports a
+    cost-minimizing state exactly when the supremum of its relative
+    error is 0, so it agrees with ``mode_error_lower_bound`` by
+    construction.  The classification is trivial when no entry is
+    positive, zero_one when the supremum is 0 otherwise, and
+    inappropriate else.
+
+    The conditions, compared exactly and run in order, say why a matrix
+    fails: (a) symmetry; (b) zero-cost pairs must make the two states
+    fully interchangeable (identical rows and identical columns); (c)
+    all strictly positive entries equal; (d) no zero-cost pair may
+    coexist with positive entries.  Every failure is reported, not just
+    the first.
     """
-    E, tol = _integer_view(cost)
+    E = _integer_rows(cost)
     n = cost.size
     violations: list[Violation] = []
     cols = tuple(zip(*E))
@@ -244,115 +234,60 @@ def check_mode_appropriate(cost: CostMatrix) -> ModeVerdict:
     # (a) symmetry
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(E[i][j] - E[j][i]) > tol:
+            if E[i][j] != E[j][i]:
                 violations.append(Violation("asymmetry", (i, j), bound((i, j))))
 
     # (b) zero-cost equivalence: either direction of a zero pair demands
     # identical rows and identical columns for the pair
     for i in range(n):
         for j in range(i + 1, n):
-            if E[i][j] > tol and E[j][i] > tol:
+            if E[i][j] and E[j][i]:
                 continue
             for t in range(n):
-                if abs(E[i][t] - E[j][t]) > tol or abs(E[t][i] - E[t][j]) > tol:
+                if E[i][t] != E[j][t] or E[t][i] != E[t][j]:
                     violations.append(Violation("equivalence", (i, j, t), bound((i, j, t))))
 
     # (c) all strictly positive entries share one value, and (d) no
     # zero-cost pair alongside a positive entry: both concern the whole
     # matrix, so both carry the full supremum
-    positives = [v for row in E for v in row if v > tol]
-    zero_pair = any(E[i][j] <= tol for i in range(n) for j in range(n) if i != j)
+    value, face = _supremum(E)
+    positives = [v for row in E for v in row if v]
+    zero_pair = any(E[i][j] == 0 for i in range(n) for j in range(n) if i != j)
     for condition, failed in (
-        ("unequal_positive", positives and max(positives) - min(positives) > tol),
+        ("unequal_positive", positives and max(positives) != min(positives)),
         ("zero_class", positives and zero_pair),
     ):
         if failed:
-            value, face = _supremum(E)
             violations.append(Violation(condition, face, _as_float(value)))
 
+    appropriate = value == ZERO
     if not positives:
         classification = "trivial"
     else:
-        off_diag = [E[s][t] for s in range(n) for t in range(n) if s != t]
-        all_equal = max(off_diag) - min(off_diag) <= tol
-        no_zeros = all(v > tol for v in off_diag)
-        classification = "zero_one" if (all_equal and no_zeros) else "inappropriate"
-    appropriate = classification in ("zero_one", "trivial")
+        classification = "zero_one" if appropriate else "inappropriate"
     return ModeVerdict(appropriate, classification, tuple(violations))
 
 
 @dataclass(frozen=True)
 class DistanceVerdict:
-    """Outcome of a distance-profile suitability check."""
+    """Whether an estimator suits the distance cost |d|^power: exactly
+    when ``power`` equals the estimator's ``required_power`` (2 for the
+    mean, 1 for the median)."""
 
     appropriate: bool
-    max_residual: float
-    worst_x: float
-    worst_scale: int | None
-    tolerance: float
+    power: int
+    required_power: int
 
 
-def mean_scaling_residual(profile: DistanceCost, x: float, n: int) -> float:
-    """Mismatch between scaling the slope by n and evaluating it at n*x.
-
-    Zero for every x and n exactly when the profile is quadratic, which
-    is the condition for the posterior mean to minimize expected cost.
-    Normalized by the larger slope magnitude, floored at 1.
-    """
-    fp_x = profile.slope(x)
-    fp_nx = profile.slope(n * x)
-    return abs(n * fp_x - fp_nx) / max(1.0, abs(fp_nx))
+def check_mean_appropriate(profile: DistanceCost) -> DistanceVerdict:
+    """Mean estimation minimizes expected |d|^p for every posterior only
+    at p = 2, where the expected cost is a parabola centred on the mean;
+    for any other p some posterior has its minimizer elsewhere."""
+    return DistanceVerdict(profile.power == 2, profile.power, 2)
 
 
-def _log_grid(diameter: float) -> list[float]:
-    # three decades up to the diameter
-    lo = diameter * 1e-3
-    return [lo * (diameter / lo) ** (k / (GRID_POINTS - 1)) for k in range(GRID_POINTS)]
-
-
-def _profile_tolerance(profile: DistanceCost) -> float:
-    return CLOSED_FORM_TOL if profile.closed_form else NUMERIC_TOL
-
-
-def check_mean_appropriate(profile: DistanceCost, diameter: float) -> DistanceVerdict:
-    """Decide whether mean estimation can trust this distance profile.
-
-    Probes the slope-scaling residual on a logarithmic grid of x in
-    (0, diameter] against mass-split factors {2, 3, 5, 10} with
-    n*x <= diameter; the profile passes when the worst residual stays
-    under tolerance (1e-6 closed form, 1e-3 numeric).
-    """
-    if diameter <= 0:
-        raise CostRiskError("diameter must be positive")
-    tol = _profile_tolerance(profile)
-    worst = 0.0
-    worst_x = 0.0
-    worst_n: int | None = None
-    for x in _log_grid(diameter):
-        for k in SCALING_FACTORS:
-            if k * x > diameter * (1 + 1e-12):
-                continue
-            r = mean_scaling_residual(profile, x, k)
-            if r > worst:
-                worst, worst_x, worst_n = r, x, k
-    return DistanceVerdict(worst < tol, worst, worst_x, worst_n, tol)
-
-
-def check_median_appropriate(profile: DistanceCost, diameter: float) -> DistanceVerdict:
-    """Decide whether median estimation can trust this distance profile.
-
-    The slope must be constant: every grid point is compared against the
-    first one, normalized by its magnitude floored at 1.
-    """
-    if diameter <= 0:
-        raise CostRiskError("diameter must be positive")
-    tol = _profile_tolerance(profile)
-    grid = _log_grid(diameter)
-    base = profile.slope(grid[0])
-    worst = 0.0
-    worst_x = grid[0]
-    for x in grid[1:]:
-        r = abs(profile.slope(x) - base) / max(1.0, abs(base))
-        if r > worst:
-            worst, worst_x = r, x
-    return DistanceVerdict(worst < tol, worst, worst_x, None, tol)
+def check_median_appropriate(profile: DistanceCost) -> DistanceVerdict:
+    """Median estimation minimizes expected |d|^p for every posterior only
+    at p = 1, where moving the estimate costs every state's mass at the
+    same rate; any other p weighs far mass more or less than near mass."""
+    return DistanceVerdict(profile.power == 1, profile.power, 1)

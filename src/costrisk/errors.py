@@ -25,10 +25,6 @@ class DiagonalNotMinimalError(CostRiskError):
         )
 
 
-class NegativeCostError(CostRiskError):
-    """A distance profile produced a negative cost."""
-
-
 class MissingEmbeddingError(CostRiskError):
     """The operation needs states embedded on the real line."""
 
@@ -39,7 +35,3 @@ class DimensionMismatchError(CostRiskError):
 
 class NotNormalizedError(CostRiskError):
     """The operation requires a normalized (regret-form) cost matrix."""
-
-
-class DerivativeUnavailableError(CostRiskError):
-    """The distance profile has no usable derivative."""

@@ -16,7 +16,7 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatchError
-from .model import CostMatrix, DistanceCost, Posterior, StateSpace
+from .model import CostMatrix, Posterior, StateSpace
 
 
 def _check_sizes(post: Posterior, cost: CostMatrix) -> int:
@@ -134,25 +134,3 @@ def nearest_state(space: StateSpace, value: float) -> int:
     assert best is not None
     return best
 
-
-def stationarity_residual(
-    e: float, post: Posterior, space: StateSpace, profile: DistanceCost
-) -> float:
-    """Signed slope balance of the expected distance cost at point e.
-
-    Mass below e pushes the residual up through f'(e - x), mass above
-    pushes it down through f'(x - e); atoms exactly at e contribute
-    nothing.  A cost-minimizing interior estimate has residual 0.
-    """
-    emb = space.require_embedding()
-    if len(post) != len(emb):
-        raise DimensionMismatchError(
-            f"posterior has {len(post)} entries for {len(emb)} states"
-        )
-    terms = []
-    for p, x in zip(post.probs, emb):
-        if x < e:
-            terms.append(float(p) * profile.slope(e - x))
-        elif x > e:
-            terms.append(-float(p) * profile.slope(x - e))
-    return math.fsum(terms)

@@ -5,8 +5,9 @@ The discrete decision core works in exact rational arithmetic
 worst-case search all hinge on exact comparisons, and the inputs people
 actually feed in (matrices of small decimals, probability vectors) are
 rationals anyway.  Floats are accepted everywhere and converted exactly;
-only the continuous distance-cost machinery (embeddings, derivatives)
-stays in floating point.
+only the embedding and the distances measured on it stay in floating
+point, and each realized distance cost enters the core as the exact
+value of its double.
 
 ``CostMatrix.scaled`` and ``Posterior.scaled`` give the same values as
 integers over one common denominator each, computed once per object.
@@ -25,15 +26,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import (
     CostRiskError,
-    DerivativeUnavailableError,
     DiagonalNotMinimalError,
     DimensionMismatchError,
     MissingEmbeddingError,
-    NegativeCostError,
     NonFiniteError,
     NotNormalizedError,
 )
@@ -42,14 +41,6 @@ NumberLike = Union[int, float, str, Fraction]
 
 #: Absolute tolerance for "these probabilities sum to 1".
 PROB_SUM_TOL = Fraction(1, 10**9)
-
-#: Absolute tolerance for treating two normalized matrix entries as equal.
-ENTRY_TOL = Fraction(1, 10**9)
-
-#: Relative step for central finite differences.
-FD_STEP = 1e-5
-
-NUMERIC = "numeric"
 
 
 def to_fraction(value: NumberLike) -> Fraction:
@@ -117,10 +108,6 @@ class StateSpace:
         """State indices sorted by ascending embedded position."""
         emb = self.require_embedding()
         return tuple(sorted(range(len(emb)), key=emb.__getitem__))
-
-    def diameter(self) -> float:
-        emb = self.require_embedding()
-        return max(emb) - min(emb)
 
 
 @dataclass(frozen=True)
@@ -282,60 +269,47 @@ def zero_one_cost(n: int) -> CostMatrix:
 
 @dataclass(frozen=True)
 class DistanceCost:
-    """Scalar cost profile f(d) for distance-form costs.
+    """The distance-form cost f(d) = |d|^power.
 
-    ``profile`` maps a nonnegative distance to a cost and must vanish at
-    zero.  ``derivative`` is a closed-form scalar function, or the string
-    ``"numeric"`` to use central finite differences with relative step
-    1e-5.  Distance profiles are even by definition, so evaluation takes
-    the absolute value of its argument; numeric differencing relies on
-    that reflection near zero.
+    ``power`` is a whole number >= 1: 1 is the absolute-difference cost
+    and 2 the squared-difference cost.  The power alone decides which
+    estimators the cost suits (see ``check_mean_appropriate`` and
+    ``check_median_appropriate``).  Evaluation multiplies |d| by itself,
+    so power 2 gives exactly the double ``d * d``.
     """
 
-    profile: Callable[[float], float]
-    derivative: Callable[[float], float] | str = NUMERIC
+    power: int
     name: str = ""
 
     def __post_init__(self):
-        at_zero = float(self.profile(0.0))
-        if abs(at_zero) > 1e-12:
-            raise CostRiskError(f"distance profile must vanish at 0, got {at_zero!r}")
-
-    @property
-    def closed_form(self) -> bool:
-        return callable(self.derivative)
+        power = self.power
+        if not isinstance(power, int) or isinstance(power, bool) or power < 1:
+            raise CostRiskError(f"power must be a whole number >= 1, got {self.power!r}")
 
     def value(self, d: float) -> float:
-        return float(self.profile(abs(d)))
-
-    def slope(self, x: float) -> float:
-        """f'(x): closed form when available, else central differences."""
-        if callable(self.derivative):
-            return float(self.derivative(x))
-        if self.derivative != NUMERIC:
-            raise DerivativeUnavailableError(
-                f"derivative must be callable or {NUMERIC!r}, got {self.derivative!r}"
-            )
-        h = FD_STEP * max(1.0, abs(x))
-        return (self.value(x + h) - self.value(x - h)) / (2.0 * h)
+        d = abs(float(d))
+        v = d
+        for _ in range(self.power - 1):
+            v *= d
+        return v
 
 
 def abs_profile() -> DistanceCost:
-    """f(d) = d, the absolute-difference cost."""
-    return DistanceCost(lambda d: d, lambda d: 1.0, name="abs")
+    """f(d) = |d|, the absolute-difference cost."""
+    return DistanceCost(1, name="abs")
 
 
 def squared_profile() -> DistanceCost:
     """f(d) = d^2, the squared-difference cost."""
-    return DistanceCost(lambda d: d * d, lambda d: 2.0 * d, name="squared")
+    return DistanceCost(2, name="squared")
 
 
 def distance_to_matrix(profile: DistanceCost, space: StateSpace) -> CostMatrix:
     """Realize a distance profile as an explicit cost matrix.
 
-    entry[s][t] = f(|x_s - x_t|) over the embedded positions.  The
-    profile must be nonnegative on the realized distances; the diagonal
-    is exactly zero by the f(0) = 0 requirement.
+    entry[s][t] = |x_s - x_t|^power over the embedded positions, so the
+    diagonal is exactly zero.  A distance whose power overflows a double
+    is rejected.
     """
     emb = space.require_embedding()
     n = len(emb)
@@ -350,11 +324,6 @@ def distance_to_matrix(profile: DistanceCost, space: StateSpace) -> CostMatrix:
             if not math.isfinite(v):
                 raise NonFiniteError(
                     f"profile produced non-finite cost at distance {abs(emb[s] - emb[t])!r}"
-                )
-            if v < 0:
-                raise NegativeCostError(
-                    f"profile produced negative cost {v!r} at distance "
-                    f"{abs(emb[s] - emb[t])!r}"
                 )
             row.append(to_fraction(v))
         rows.append(tuple(row))

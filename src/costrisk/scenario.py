@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any
 
 from .adversarial import MAX_STATES, SearchConfig, WorstCase, relative_error, worst_case
@@ -108,8 +108,12 @@ def _number_list(value: Any, path: str) -> tuple[float, ...]:
             f"{path}[{k}]",
             "expected a number",
         )
+        try:
+            v = float(v)
+        except OverflowError:  # an integer literal beyond the largest double
+            v = math.inf
         _expect(math.isfinite(v), f"{path}[{k}]", "number must be finite")
-        out.append(float(v))
+        out.append(v)
     return tuple(out)
 
 
@@ -255,7 +259,7 @@ def parse_scenario(text: str) -> Scenario:
     of the offending key on any mismatch."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer literal too long to convert
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
     return scenario_from_dict(doc)
 
@@ -354,12 +358,8 @@ def run_scenario(sc: Scenario) -> RiskReport:
     mean_check = median_check = None
     if sc.cost_profile in ("abs", "squared"):
         profile = _profile_object(sc.cost_profile)
-        diameter = space.diameter()
-        try:
-            mean_check = check_mean_appropriate(profile, diameter)
-            median_check = check_median_appropriate(profile, diameter)
-        except CostRiskError as exc:
-            raise ScenarioFieldError("cost.profile", str(exc)) from exc
+        mean_check = check_mean_appropriate(profile)
+        median_check = check_median_appropriate(profile)
 
     estimates: dict[str, dict[str, Any]] = {}
     post = None
@@ -412,18 +412,6 @@ def _verdict_dict(v: ModeVerdict, labels: tuple[str, ...]) -> dict[str, Any]:
     }
 
 
-def _distance_dict(v: DistanceVerdict) -> dict[str, Any]:
-    out = {
-        "appropriate": v.appropriate,
-        "max_residual": _num(v.max_residual),
-        "worst_x": _num(v.worst_x),
-        "tolerance": _num(v.tolerance),
-    }
-    if v.worst_scale is not None:
-        out["worst_scale"] = v.worst_scale
-    return out
-
-
 def report_to_dict(report: RiskReport) -> dict[str, Any]:
     sc = report.scenario
     labels = sc.states
@@ -460,9 +448,9 @@ def report_to_dict(report: RiskReport) -> dict[str, Any]:
     if sc.embedding is not None:
         out["embedding"] = [_num(x) for x in sc.embedding]
     if report.mean_check is not None:
-        out["mean_profile_check"] = _distance_dict(report.mean_check)
+        out["mean_profile_check"] = asdict(report.mean_check)
     if report.median_check is not None:
-        out["median_profile_check"] = _distance_dict(report.median_check)
+        out["median_profile_check"] = asdict(report.median_check)
     return out
 
 
@@ -497,7 +485,7 @@ def _render_text(report: RiskReport) -> str:
             lines.append(
                 f"{which} profile check: "
                 f"{'appropriate' if check['appropriate'] else 'inappropriate'}"
-                f" (max residual {check['max_residual']}, tolerance {check['tolerance']})"
+                f" (power {check['power']}, needs {check['required_power']})"
             )
     lines.append("estimates:")
     for name, block in d["estimates"].items():

@@ -2,11 +2,12 @@
 
 ``reference_check_mode_appropriate`` is the straightforward Fraction
 implementation of the four conditions that the package runs on the
-integer view of the cost matrix: every tolerance test subtracts
-Fractions.  It visits the same pairs and triples in the same order, so
-the two must agree on the classification, on the sequence of failed
-conditions and on the states of the asymmetry and equivalence
-violations.
+integer view of the cost matrix: every test compares Fractions exactly.
+It visits the same pairs and triples in the same order, so the two must
+agree on the classification, on the sequence of failed conditions and
+on the states of the asymmetry and equivalence violations.  It
+classifies from the entries alone, not from the supremum, so it checks
+the mode theorem that the package's classification rests on.
 
 ``reference_supremum`` is the mode's worst-case relative error by
 enumerating every face (nonempty subset of the allowed states), in
@@ -21,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from costrisk.errors import NotNormalizedError
-from costrisk.model import ENTRY_TOL, CostMatrix
+from costrisk.model import CostMatrix
 
 ExactValue = Union[Fraction, float]  # Fraction, or math.inf for unbounded
 
@@ -32,10 +33,6 @@ LOCAL_CONDITIONS = ("asymmetry", "equivalence")
 def _require_normalized(cost: CostMatrix) -> None:
     if not cost.normalized:
         raise NotNormalizedError("this check needs a normalized cost matrix")
-
-
-def _is_zero(v: Fraction) -> bool:
-    return abs(v) <= ENTRY_TOL
 
 
 def reference_supremum(cost: CostMatrix, support: Iterable[int] | None = None) -> ExactValue:
@@ -84,36 +81,31 @@ def reference_check_mode_appropriate(
     # (a) symmetry
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(E[i][j] - E[j][i]) > ENTRY_TOL:
+            if E[i][j] != E[j][i]:
                 violations.append(("asymmetry", (i, j)))
 
     # (b) zero-cost equivalence
     for i in range(n):
         for j in range(i + 1, n):
-            if not (_is_zero(E[i][j]) or _is_zero(E[j][i])):
+            if E[i][j] != 0 and E[j][i] != 0:
                 continue
             for t in range(n):
-                row_bad = abs(E[i][t] - E[j][t]) > ENTRY_TOL
-                col_bad = abs(E[t][i] - E[t][j]) > ENTRY_TOL
-                if row_bad or col_bad:
+                if E[i][t] != E[j][t] or E[t][i] != E[t][j]:
                     violations.append(("equivalence", (i, j, t)))
 
     # (c) all strictly positive entries share one value
-    positives = [E[s][t] for s in range(n) for t in range(n) if E[s][t] > ENTRY_TOL]
-    if positives and max(positives) - min(positives) > ENTRY_TOL:
+    positives = [E[s][t] for s in range(n) for t in range(n) if E[s][t] > 0]
+    if positives and max(positives) != min(positives):
         violations.append(("unequal_positive", None))
 
     # (d) a zero-cost pair alongside any positive entry
-    zero_pair = any(_is_zero(E[i][j]) for i in range(n) for j in range(n) if i != j)
+    zero_pair = any(E[i][j] == 0 for i in range(n) for j in range(n) if i != j)
     if zero_pair and positives:
         violations.append(("zero_class", None))
 
-    top = max((v for row in E for v in row), default=Fraction(0))
-    if top <= ENTRY_TOL:
+    if not positives:
         classification = "trivial"
     else:
-        off_diag = [E[s][t] for s in range(n) for t in range(n) if s != t]
-        all_equal = max(off_diag) - min(off_diag) <= ENTRY_TOL
-        no_zeros = all(v > ENTRY_TOL for v in off_diag)
-        classification = "zero_one" if (all_equal and no_zeros) else "inappropriate"
+        off_diag = {E[s][t] for s in range(n) for t in range(n) if s != t}
+        classification = "zero_one" if off_diag == {1} else "inappropriate"
     return classification, violations

@@ -10,28 +10,34 @@ from hypothesis import strategies as st
 
 import costrisk as cr
 from costrisk.errors import NotNormalizedError
-from costrisk.model import ENTRY_TOL
 
-from conftest import random_float_cost, random_valid_cost, rational_posterior
+from conftest import (
+    grid_cost_minimizer,
+    random_float_cost,
+    random_valid_cost,
+    rational_posterior,
+)
 from reference_appropriateness import (
     LOCAL_CONDITIONS,
     reference_check_mode_appropriate,
     reference_supremum,
 )
 
+#: A billionth, and a far smaller step: entries this close to each other
+#: are still different, and the verdicts must say so.
+_TOL = Fraction(1, 10**9)
 _ETA = Fraction(1, 2**60)
-#: Entries at, just inside and just outside ENTRY_TOL of 0, 1/2 and 1.
+#: Entries at, and a billionth plus or minus 2^-60 from, 0, 1/2 and 1.
 _NEAR_TOL = sorted(
     {
         min(max(base + sign * off, Fraction(0)), Fraction(1))
         for base in (Fraction(0), Fraction(1, 2), Fraction(1))
-        for off in (0, ENTRY_TOL, ENTRY_TOL - _ETA, ENTRY_TOL + _ETA)
+        for off in (0, _TOL, _TOL - _ETA, _TOL + _ETA)
         for sign in (1, -1)
     }
 )
-#: The floats nearest the same points: their common denominator L is a
-#: power of two, so L * ENTRY_TOL is not an integer and a float just
-#: past the tolerance sits one unit above floor(L * ENTRY_TOL).
+#: The floats nearest the same points and their neighbours one ulp away:
+#: entries whose common denominator L is a power of two.
 _NEAR_TOL_FLOATS = sorted(
     {Fraction(0)}
     | {
@@ -96,6 +102,18 @@ class TestCheckModeAppropriate:
         assert zero[0].bound == 1.0
         # the clean pair itself raises no asymmetry or equivalence flags
         assert all(v.condition in ("zero_class",) for v in verdict.violations)
+
+    def test_near_symmetric_is_inappropriate(self):
+        # 1 - 1e-10 is not 1: the mode overpays by about 1e-10 at the tie
+        cost = cr.normalize_cost(cr.validate_cost([[0, 1], [1 - 1e-10, 0]]))
+        verdict = cr.check_mode_appropriate(cost)
+        bound = cr.mode_error_lower_bound(cost)
+        assert (verdict.appropriate, verdict.classification) == (False, "inappropriate")
+        asym = [v for v in verdict.violations if v.condition == "asymmetry"]
+        assert [v.states for v in asym] == [(0, 1)]
+        exact = reference_supremum(cost)
+        assert 0 < exact < Fraction(2, 10**10)
+        assert asym[0].bound == bound.value == float(exact)
 
     def test_violation_bounds_positive(self, coin_cost, two_coin_cost, three_abs_cost):
         for cost in (coin_cost, two_coin_cost, three_abs_cost):
@@ -297,6 +315,7 @@ class TestMatchesReference:
         classification, violations = reference_check_mode_appropriate(cost)
         assert verdict.classification == classification
         assert verdict.appropriate == (classification in ("zero_one", "trivial"))
+        assert verdict.appropriate == (cr.mode_error_lower_bound(cost).value == 0)
         assert [
             (v.condition, v.states if v.condition in LOCAL_CONDITIONS else None)
             for v in verdict.violations
@@ -326,7 +345,7 @@ class TestMatchesReference:
             entries[0][1] = Fraction(1)
         self._check(cr.CostMatrix(entries, normalized=True))
 
-    @pytest.mark.parametrize("off", [ENTRY_TOL - _ETA, ENTRY_TOL, ENTRY_TOL + _ETA])
+    @pytest.mark.parametrize("off", [_TOL - _ETA, _TOL, _TOL + _ETA])
     def test_zero_class_unit_at_the_tolerance(self, off):
         # the zero pair {a, b} trades with c at 1 or within off of it
         near = 1 - off
@@ -335,60 +354,58 @@ class TestMatchesReference:
 
 class TestMeanCheck:
     def test_squared_passes(self):
-        verdict = cr.check_mean_appropriate(cr.squared_profile(), diameter=2.0)
-        assert verdict.appropriate
-        assert verdict.max_residual == 0.0
+        verdict = cr.check_mean_appropriate(cr.squared_profile())
+        assert verdict == cr.DistanceVerdict(True, 2, 2)
 
     def test_scaled_squared_passes(self):
-        # power-of-two scale: float multiplication commutes, residual exact 0
-        profile = cr.DistanceCost(lambda d: 4.0 * d * d, lambda d: 8.0 * d)
-        verdict = cr.check_mean_appropriate(profile, diameter=2.0)
-        assert verdict.appropriate
-        assert verdict.max_residual == 0.0
-        # arbitrary scale: one ulp of evaluation noise is all that remains
-        profile = cr.DistanceCost(lambda d: 3.5 * d * d, lambda d: 7.0 * d)
-        verdict = cr.check_mean_appropriate(profile, diameter=2.0)
-        assert verdict.appropriate
-        assert verdict.max_residual < 1e-14
+        # a multiple of |d|^2 normalizes to the same matrix, so the power
+        # alone carries the verdict
+        space = cr.StateSpace(("a", "b", "c"), (-0.7, 0.2, 1.3))
+        raw = cr.distance_to_matrix(cr.squared_profile(), space)
+        scaled = cr.validate_cost([[Fraction(7, 2) * v for v in row] for row in raw.entries])
+        assert cr.normalize_cost(scaled) == cr.normalize_cost(raw)
+        assert cr.check_mean_appropriate(cr.squared_profile()).appropriate
 
     def test_absolute_fails(self):
-        verdict = cr.check_mean_appropriate(cr.abs_profile(), diameter=2.0)
-        assert not verdict.appropriate
-        # constant slope: scaling by n misses by n - 1, already 1 at n = 2
-        assert verdict.max_residual >= 1.0
-        assert cr.mean_scaling_residual(cr.abs_profile(), 0.5, 2) == 1.0
+        verdict = cr.check_mean_appropriate(cr.abs_profile())
+        assert verdict == cr.DistanceVerdict(False, 1, 2)
 
-    def test_quartic_residual_value(self):
-        quartic = cr.DistanceCost(lambda d: d**4, lambda d: 4 * d**3)
-        assert cr.mean_scaling_residual(quartic, 1.0, 2) == 0.75
-        verdict = cr.check_mean_appropriate(quartic, diameter=2.0)
-        assert not verdict.appropriate
-
-    def test_numeric_derivative_tolerance(self):
-        # central differences are exact on quadratics, so the numeric
-        # route passes at its looser tolerance
-        numeric = cr.DistanceCost(lambda d: d * d, "numeric")
-        verdict = cr.check_mean_appropriate(numeric, diameter=2.0)
-        assert verdict.tolerance == 1e-3
-        assert verdict.appropriate
-        numeric_quartic = cr.DistanceCost(lambda d: d**4, "numeric")
-        assert not cr.check_mean_appropriate(numeric_quartic, diameter=2.0).appropriate
-
-    def test_bad_diameter(self):
-        with pytest.raises(cr.CostRiskError):
-            cr.check_mean_appropriate(cr.squared_profile(), diameter=0.0)
+    def test_quartic_fails(self):
+        verdict = cr.check_mean_appropriate(cr.DistanceCost(4))
+        assert verdict == cr.DistanceVerdict(False, 4, 2)
 
 
 class TestMedianCheck:
     def test_absolute_passes(self):
-        verdict = cr.check_median_appropriate(cr.abs_profile(), diameter=2.0)
-        assert verdict.appropriate
-        assert verdict.max_residual == 0.0
+        verdict = cr.check_median_appropriate(cr.abs_profile())
+        assert verdict == cr.DistanceVerdict(True, 1, 1)
 
     def test_scaled_absolute_passes(self):
-        profile = cr.DistanceCost(lambda d: 3 * d, lambda d: 3.0)
-        assert cr.check_median_appropriate(profile, diameter=2.0).appropriate
+        space = cr.StateSpace(("a", "b", "c"), (-0.7, 0.2, 1.3))
+        raw = cr.distance_to_matrix(cr.abs_profile(), space)
+        scaled = cr.validate_cost([[3 * v for v in row] for row in raw.entries])
+        assert cr.normalize_cost(scaled) == cr.normalize_cost(raw)
+        assert cr.check_median_appropriate(cr.abs_profile()).appropriate
 
     def test_squared_fails(self):
-        verdict = cr.check_median_appropriate(cr.squared_profile(), diameter=2.0)
-        assert not verdict.appropriate
+        verdict = cr.check_median_appropriate(cr.squared_profile())
+        assert verdict == cr.DistanceVerdict(False, 2, 1)
+
+
+@pytest.mark.parametrize("power", [1, 2, 3, 4])
+def test_theorem_table(power):
+    """Mean only at power 2, median only at power 1, and the verdicts
+    match where the expected cost of |d|^power is actually lowest on a
+    lopsided posterior."""
+    profile = cr.DistanceCost(power)
+    assert cr.check_mean_appropriate(profile).appropriate == (power == 2)
+    assert cr.check_median_appropriate(profile).appropriate == (power == 1)
+    space = cr.StateSpace(("a", "b", "c"), (0.0, 1.0, 3.0))
+    post = cr.Posterior((Fraction(45, 100), Fraction(35, 100), Fraction(20, 100)))
+    best, _, step = grid_cost_minimizer(
+        post.as_floats(), space.embedding, lambda d: d**power
+    )
+    mean = cr.mean_estimate(post, space)  # 0.95
+    median = space.embedding[cr.median_estimate(post, space)]  # 1.0
+    assert (abs(best - mean) <= step) == (power == 2)
+    assert (abs(best - median) <= step) == (power == 1)

@@ -214,56 +214,6 @@ class TestNearestState:
         assert cr.nearest_state(space, 0.5) == 1
 
 
-class TestStationarityResidual:
-    def test_quadratic_residual_is_twice_distance_from_mean(self):
-        rng = random.Random(5)
-        space = cr.StateSpace(
-            ("a", "b", "c", "d"), (-1.0, -0.25, 0.4, 0.9)
-        )
-        squared = cr.squared_profile()
-        for _ in range(20):
-            post = rational_posterior(rng, 4)
-            mean = cr.mean_estimate(post, space)
-            e = rng.uniform(-1.0, 0.9)
-            res = cr.stationarity_residual(e, post, space, squared)
-            assert res == pytest.approx(2 * (e - mean), abs=1e-12)
-            assert abs(cr.stationarity_residual(mean, post, space, squared)) < 1e-12
-
-    def test_absolute_cost_just_below_top_atom(self, three_space):
-        post = cr.Posterior((0.2, 0.2, 0.6))
-        res = cr.stationarity_residual(1.999, post, three_space, cr.abs_profile())
-        assert res == pytest.approx(-0.2, abs=1e-12)
-
-    def test_point_mass_at_e(self):
-        space = cr.StateSpace(("a", "b"), (0.3, 0.8))
-        post = cr.Posterior((1.0, 0.0))
-        assert cr.stationarity_residual(0.3, post, space, cr.abs_profile()) == 0.0
-
-    def test_sign_change_brackets_grid_minimizer(self):
-        # convex increasing profile: residual is nondecreasing in e and
-        # changes sign at the expected-cost minimizer
-        rng = random.Random(9)
-        space = cr.StateSpace(
-            ("a", "b", "c", "d", "e"), (-1.0, -0.5, 0.1, 0.55, 1.0)
-        )
-        profile = cr.squared_profile()
-        for _ in range(10):
-            post = rational_posterior(rng, 5)
-            e_star, _, step = grid_cost_minimizer(
-                post.as_floats(), space.embedding, lambda d: d**2
-            )
-            lo, hi = -1.0, 1.0
-            assert cr.stationarity_residual(lo, post, space, profile) <= 1e-12
-            assert cr.stationarity_residual(hi, post, space, profile) >= -1e-12
-            # first grid point with nonnegative residual sits next to the minimizer
-            grid = [lo + k * step for k in range(int((hi - lo) / step) + 1)]
-            crossing = next(
-                (e for e in grid if cr.stationarity_residual(e, post, space, profile) >= 0),
-                hi,
-            )
-            assert abs(crossing - e_star) <= 2 * step
-
-
 class TestMeanMedianOptimality:
     def test_mean_minimizes_quadratic_cost_on_grid(self):
         rng = random.Random(31)

@@ -19,8 +19,8 @@ from costrisk.scenario import parse_scenario, render_report, run_scenario
 GOLDEN = {
     ("coin_game", "json"): "1ecc4d4b9d04ec7bfbe31b4147278db8e9750fe2a00d443cd012165864996760",
     ("coin_game", "text"): "cd30049ce46ff76fa78531ce1f59329aa3743974d263f95be04a055c3fed32bf",
-    ("three_state_abs", "json"): "348b97c0a8437271829dc17325fd1d0806df3f6142ce5b8c87129334274a850e",
-    ("three_state_abs", "text"): "3b13ffefa1645a9b5e34949cac38d6f2c388ba6671119231cb0ab79b053c9540",
+    ("three_state_abs", "json"): "eb49a7fd64a501110f0328181027a3a3d7222c4439f541cbecb1f7ffc610b75a",
+    ("three_state_abs", "text"): "8767fc6c708d1561c2e7d7b5e78145ab6280955acfb8e5973cc34f12999c7a61",
     ("two_coin", "json"): "c09a2072d331634710d56341ff79d0bc4e4d04e35f2fd358270d4d5d07d68c4b",
     ("two_coin", "text"): "110dc86b5aa18fd05efa454e24e1f84e447fd1024360c4f0621354140323e4b7",
     ("zero_class", "json"): "b02b6395a2251a35b8144cd292851f65aac6e4e1e7b960061a0465e1f440cfa3",
@@ -38,8 +38,8 @@ def test_builtin_report_bytes(name, fmt, capsys):
 EXPLICIT_KINDS = ("matrix_ties", "matrix_float", "payoff", "abs", "squared", "zero_one")
 
 EXPLICIT_GOLDEN = {
-    "json": "b9e8d4dcac222036b50f105e06c85e8cee1e7e332d2111ddecaad850ccfcbae0",
-    "text": "5253db51a35ec8a938e45461c9336929d554b5da9ea2b280ac85bef18c370919",
+    "json": "946b2ab16e9fff43b9bb2d7a82895740db829e259ed3c498951b1bb4411430de",
+    "text": "bccb46693a7ee0971335298ea7001a4bd8efd87b85d71bb82bfccf7423d014fd",
 }
 
 

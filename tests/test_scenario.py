@@ -123,8 +123,28 @@ class TestRunScenario:
         d = cr.report_to_dict(report)
         assert d["estimates"]["median"]["estimate"] == "z"
         assert d["estimates"]["mean"]["raw_mean"] == pytest.approx(1.4)
-        assert d["mean_profile_check"]["appropriate"] is False
-        assert d["median_profile_check"]["appropriate"] is True
+        assert d["mean_profile_check"] == {"appropriate": False, "power": 1, "required_power": 2}
+        assert d["median_profile_check"] == {"appropriate": True, "power": 1, "required_power": 1}
+        text = cr.render_report(report, "text")
+        assert "mean profile check: inappropriate (power 1, needs 2)" in text
+        assert "median profile check: appropriate (power 1, needs 1)" in text
+
+    def test_median_verdict_on_a_tiny_squared_embedding(self):
+        # the spacing is far below any float tolerance; the verdict and the
+        # median's worst case must still agree that squared cost is unsafe
+        doc = {
+            "name": "tiny",
+            "states": ["x", "y", "z"],
+            "embedding": [0, 5e-8, 1e-7],
+            "cost": {"profile": "squared"},
+            "distribution": "worst_case",
+            "estimators": ["median"],
+            "search": {"resolution": 0.1},
+        }
+        report = cr.run_scenario(cr.parse_scenario(as_json(doc)))
+        assert report.median_check == cr.DistanceVerdict(False, 2, 1)
+        assert report.mean_check == cr.DistanceVerdict(True, 2, 2)
+        assert report.estimates["median"]["value"] > 0
 
     def test_unbounded_rendering(self):
         doc = {
@@ -261,13 +281,41 @@ class TestCli:
         assert main(["builtin", "coin_game", "--resolution", "0.9"]) == 1
 
     @pytest.mark.parametrize(
-        "search", [{"resolution": 9.9e-5}, {"refine_iterations": 65}]
+        "search",
+        [
+            {"resolution": 9.9e-5},
+            {"refine_iterations": 65},
+            {"refine_iterations": 1.5},
+            {"epsilon": "1/3"},
+            {"support_cap": 2.5},
+            {"refine_iterations": True},
+        ],
     )
     def test_search_budget_exits_1(self, search, tmp_path, capsys):
         path = tmp_path / "budget.json"
         path.write_text(as_json(dict(MINIMAL, search=search)))
         assert main(["analyze", str(path)]) == 1
         assert "$.search" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "literal, message",
+        [
+            # beyond the largest double
+            ("1" + "0" * 400, "$.cost.matrix[0][1]: number must be finite"),
+            # beyond the integer conversion limit of the JSON parser
+            ("1" + "0" * 5000, "schema error: $: invalid JSON"),
+        ],
+        ids=["beyond_double", "beyond_parser_limit"],
+    )
+    def test_oversized_number_exits_1(self, literal, message, tmp_path, capsys):
+        text = as_json(dict(MINIMAL, cost={"matrix": [[0, 12345], [1, 0]]}))
+        path = tmp_path / "big.json"
+        path.write_text(text.replace("12345", literal))
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("costrisk: schema error:")
+        assert message in err
+        assert "Traceback" not in err
 
     def test_state_budget_exits_1(self, tmp_path, capsys):
         states = [f"s{i}" for i in range(MAX_STATES + 1)]
