@@ -272,22 +272,34 @@ def check_mode_appropriate(cost: CostMatrix) -> ModeVerdict:
 class DistanceVerdict:
     """Whether an estimator suits the distance cost |d|^power: exactly
     when ``power`` equals the estimator's ``required_power`` (2 for the
-    mean, 1 for the median)."""
+    mean, 1 for the median), or when the realized cost leaves nothing to
+    get wrong."""
 
     appropriate: bool
     power: int
     required_power: int
 
 
-def check_mean_appropriate(profile: DistanceCost) -> DistanceVerdict:
+def _settled(cost: CostMatrix | None) -> bool:
+    """On at most two states the snapped mean and the median both report
+    the more probable state, which the realized 0-1 cost rewards, and on
+    a trivial realized cost (every distance underflows to 0) any report
+    is optimal: either way the estimator's worst case is 0."""
+    return cost is not None and (cost.size <= 2 or cost.trivial)
+
+
+def check_mean_appropriate(profile: DistanceCost, cost=None) -> DistanceVerdict:
     """Mean estimation minimizes expected |d|^p for every posterior only
     at p = 2, where the expected cost is a parabola centred on the mean;
-    for any other p some posterior has its minimizer elsewhere."""
-    return DistanceVerdict(profile.power == 2, profile.power, 2)
+    for any other p some posterior has its minimizer elsewhere.  ``cost``
+    is the profile's realized CostMatrix, if any: on one that leaves
+    nothing to get wrong (see ``_settled``) every power is appropriate."""
+    return DistanceVerdict(profile.power == 2 or _settled(cost), profile.power, 2)
 
 
-def check_median_appropriate(profile: DistanceCost) -> DistanceVerdict:
+def check_median_appropriate(profile: DistanceCost, cost=None) -> DistanceVerdict:
     """Median estimation minimizes expected |d|^p for every posterior only
     at p = 1, where moving the estimate costs every state's mass at the
-    same rate; any other p weighs far mass more or less than near mass."""
-    return DistanceVerdict(profile.power == 1, profile.power, 1)
+    same rate; any other p weighs far mass more or less than near mass.
+    ``cost`` is read as in ``check_mean_appropriate``."""
+    return DistanceVerdict(profile.power == 1 or _settled(cost), profile.power, 1)

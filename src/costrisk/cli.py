@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on schema/input errors, 2 on numeric or
-validation errors.  Reports go to stdout, diagnostics to stderr.
+Exit codes: 0 on success, 1 on any bad input.  The parser checks every
+document, built-ins included, and builds its model, so a parsed scenario
+always runs.  Reports go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ import sys
 
 from .errors import CostRiskError
 from .scenario import (
+    BUILTIN_DOCS,
     SchemaError,
-    builtin_scenarios,
     parse_scenario,
     render_report,
     run_scenario,
+    scenario_from_dict,
     with_search_overrides,
 )
 
@@ -55,7 +57,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_builtins:
-        for name in sorted(builtin_scenarios()):
+        for name in sorted(BUILTIN_DOCS):
             print(name)
         return 0
     if not args.command:
@@ -73,15 +75,14 @@ def main(argv: list[str] | None = None) -> int:
                 return 1
             scenario = parse_scenario(text)
         else:
-            scenarios = builtin_scenarios()
-            if args.name not in scenarios:
+            if args.name not in BUILTIN_DOCS:
                 print(
                     f"costrisk: error: unknown builtin {args.name!r}; "
-                    f"choose from {', '.join(sorted(scenarios))}",
+                    f"choose from {', '.join(sorted(BUILTIN_DOCS))}",
                     file=sys.stderr,
                 )
                 return 1
-            scenario = scenarios[args.name]
+            scenario = scenario_from_dict(BUILTIN_DOCS[args.name])
         scenario = with_search_overrides(scenario, args.resolution, args.epsilon)
     except SchemaError as exc:
         print(f"costrisk: schema error: {exc}", file=sys.stderr)
@@ -90,13 +91,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"costrisk: error: {exc}", file=sys.stderr)
         return 1
 
-    try:
-        report = run_scenario(scenario)
-    except CostRiskError as exc:
-        print(f"costrisk: error: {exc}", file=sys.stderr)
-        return 2
-
-    sys.stdout.write(render_report(report, args.format))
+    sys.stdout.write(render_report(run_scenario(scenario), args.format))
     return 0
 
 

@@ -13,6 +13,11 @@ Scenarios are JSON documents:
       "search": {"resolution": 0.01}                // optional SearchConfig overrides
     }
 
+``scenario_from_dict`` is the one place a document, built-ins included
+(``BUILTIN_DOCS``), is checked and built into the model (state space,
+normalized cost, posterior): a model constructor's error is a
+SchemaError at the document path, and a parsed scenario always runs.
+
 Payoff matrices are winnings; they are negated into costs and then
 normalized, so games can be typed in verbatim.  Reports are rendered
 deterministically (sorted keys, 9-significant-digit numbers), so
@@ -21,7 +26,7 @@ identical scenarios produce byte-identical output.
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -73,30 +78,48 @@ class SchemaError(CostRiskError):
         super().__init__(f"{path}: {reason}")
 
 
-class ScenarioFieldError(CostRiskError):
-    """A scenario failed while running; carries the offending key."""
-
-    def __init__(self, key: str, message: str):
-        self.key = key
-        super().__init__(f"{key}: {message}")
-
-
 @dataclass(frozen=True)
 class Scenario:
+    """A checked scenario document and the model it builds.
+
+    Built only by ``scenario_from_dict``.  ``cost_matrix`` and
+    ``distribution`` keep the numbers as typed (a payoff is not negated);
+    ``cost`` is the normalized matrix and ``posterior`` the exact,
+    rescaled distribution (None for worst_case).
+    """
+
     name: str
-    states: tuple[str, ...]
-    embedding: tuple[float, ...] | None
+    space: StateSpace
     cost_kind: str  # matrix | payoff | profile
     cost_matrix: tuple[tuple[float, ...], ...] | None
     cost_profile: str | None
+    cost: CostMatrix
     distribution: tuple[float, ...] | None  # None means worst_case
+    posterior: Posterior | None
     estimators: tuple[str, ...]
     search: SearchConfig
+
+    @property
+    def states(self) -> tuple[str, ...]:
+        return self.space.labels
+
+    @property
+    def embedding(self) -> tuple[float, ...] | None:
+        return self.space.embedding
 
 
 def _expect(cond: bool, path: str, reason: str) -> None:
     if not cond:
         raise SchemaError(path, reason)
+
+
+@contextlib.contextmanager
+def _errors_at(path: str, *kinds: type[Exception]):
+    """Report a model constructor's error as a schema error at ``path``."""
+    try:
+        yield
+    except (CostRiskError, *kinds) as exc:
+        raise SchemaError(path, str(exc)) from exc
 
 
 def _number_list(value: Any, path: str) -> tuple[float, ...]:
@@ -127,14 +150,26 @@ def _matrix(value: Any, n: int, path: str) -> tuple[tuple[float, ...], ...]:
     return tuple(rows)
 
 
-@functools.lru_cache(maxsize=1)
-def _posterior(distribution: tuple[float, ...]) -> Posterior:
-    """Posterior's exact check is the one rule for a distribution; parsing
-    and running a scenario share the object it builds."""
-    return Posterior(distribution)
+def _profile_object(name: str) -> DistanceCost:
+    return abs_profile() if name == "abs" else squared_profile()
+
+
+def _build_cost(kind: str, matrix, profile: str | None, space: StateSpace) -> CostMatrix:
+    """The normalized cost: payoffs are negated into costs first."""
+    if profile == "zero_one":
+        return zero_one_cost(len(space))
+    if profile is not None:
+        return normalize_cost(distance_to_matrix(_profile_object(profile), space))
+    if kind == "payoff":
+        matrix = tuple(tuple(-v for v in row) for row in matrix)
+    return normalize_cost(validate_cost(matrix))
 
 
 def scenario_from_dict(doc: Any, path: str = "$") -> Scenario:
+    """Check a decoded scenario document and build its model: the state
+    space, the normalized cost and, for an explicit distribution, the
+    posterior.  Every failure, a model constructor's included, is a
+    SchemaError carrying the path of the offending key."""
     _expect(isinstance(doc, dict), path, "expected a JSON object")
     known = {"name", "states", "embedding", "cost", "distribution", "estimators", "search"}
     for key in doc:
@@ -145,31 +180,23 @@ def scenario_from_dict(doc: Any, path: str = "$") -> Scenario:
     name = doc["name"]
     _expect(isinstance(name, str) and bool(name), f"{path}.name", "expected a non-empty string")
 
-    states_raw = doc["states"]
+    states = doc["states"]
     _expect(
-        isinstance(states_raw, list) and states_raw,
+        isinstance(states, list) and states,
         f"{path}.states",
         "expected a non-empty list of labels",
     )
-    _expect(
-        len(states_raw) <= MAX_STATES, f"{path}.states", f"at most {MAX_STATES} states"
-    )
-    states = []
-    for k, s in enumerate(states_raw):
+    _expect(len(states) <= MAX_STATES, f"{path}.states", f"at most {MAX_STATES} states")
+    for k, s in enumerate(states):
         _expect(isinstance(s, str) and bool(s), f"{path}.states[{k}]", "expected a non-empty string")
-        states.append(s)
     _expect(len(set(states)) == len(states), f"{path}.states", "labels must be distinct")
     n = len(states)
 
-    embedding = None
-    if "embedding" in doc and doc["embedding"] is not None:
-        embedding = _number_list(doc["embedding"], f"{path}.embedding")
-        _expect(len(embedding) == n, f"{path}.embedding", f"expected {n} values")
-        _expect(
-            len(set(embedding)) == len(embedding),
-            f"{path}.embedding",
-            "values must be distinct",
-        )
+    embedding = doc.get("embedding")
+    if embedding is not None:
+        embedding = _number_list(embedding, f"{path}.embedding")
+    with _errors_at(f"{path}.embedding"):
+        space = StateSpace(tuple(states), embedding)
 
     cost = doc["cost"]
     _expect(isinstance(cost, dict), f"{path}.cost", "expected an object")
@@ -177,34 +204,27 @@ def scenario_from_dict(doc: Any, path: str = "$") -> Scenario:
     _expect(len(kinds) == 1, f"{path}.cost", "expected exactly one of matrix, payoff, profile")
     _expect(set(cost) <= {"matrix", "payoff", "profile"}, f"{path}.cost", "unknown key")
     cost_kind = kinds[0]
-    cost_matrix = None
-    cost_profile = None
+    cost_path = f"{path}.cost.{cost_kind}"
+    cost_matrix = cost_profile = None
     if cost_kind == "profile":
         cost_profile = cost["profile"]
         _expect(
             cost_profile in PROFILE_NAMES,
-            f"{path}.cost.profile",
+            cost_path,
             f"unknown profile; expected one of {', '.join(PROFILE_NAMES)}",
         )
-        if cost_profile in ("abs", "squared"):
-            _expect(
-                embedding is not None,
-                f"{path}.cost.profile",
-                f"profile {cost_profile!r} needs an embedding",
-            )
     else:
-        cost_matrix = _matrix(cost[cost_kind], n, f"{path}.cost.{cost_kind}")
+        cost_matrix = _matrix(cost[cost_kind], n, cost_path)
+    with _errors_at(cost_path):
+        normalized = _build_cost(cost_kind, cost_matrix, cost_profile, space)
 
     dist_raw = doc["distribution"]
-    if dist_raw == WORST_CASE_TOKEN:
-        distribution = None
-    else:
+    distribution = posterior = None
+    if dist_raw != WORST_CASE_TOKEN:
         distribution = _number_list(dist_raw, f"{path}.distribution")
         _expect(len(distribution) == n, f"{path}.distribution", f"expected {n} probabilities")
-        try:
-            _posterior(distribution)
-        except CostRiskError as exc:
-            raise SchemaError(f"{path}.distribution", str(exc)) from exc
+        with _errors_at(f"{path}.distribution"):
+            posterior = Posterior(distribution)
 
     default_estimators = (
         list(ESTIMATOR_NAMES) if embedding is not None else ["mode", "bayes"]
@@ -236,19 +256,18 @@ def scenario_from_dict(doc: Any, path: str = "$") -> Scenario:
     knobs = {"resolution", "support_cap", "refine_iterations", "epsilon"}
     for key in search_doc:
         _expect(key in knobs, f"{path}.search.{key}", "unknown key")
-    try:
+    with _errors_at(f"{path}.search", TypeError):
         search = SearchConfig(**search_doc)
-    except (TypeError, CostRiskError) as exc:
-        raise SchemaError(f"{path}.search", str(exc)) from exc
 
     return Scenario(
         name=name,
-        states=tuple(states),
-        embedding=embedding,
+        space=space,
         cost_kind=cost_kind,
         cost_matrix=cost_matrix,
         cost_profile=cost_profile,
+        cost=normalized,
         distribution=distribution,
+        posterior=posterior,
         estimators=tuple(seen),
         search=search,
     )
@@ -273,41 +292,19 @@ class RiskReport:
     """
 
     scenario: Scenario
-    normalized_cost: CostMatrix
     mode_verdict: ModeVerdict
     mode_bound: ModeErrorBound
     mean_check: DistanceVerdict | None
     median_check: DistanceVerdict | None
     estimates: dict[str, dict[str, Any]]
 
-
-def _profile_object(name: str) -> DistanceCost:
-    return abs_profile() if name == "abs" else squared_profile()
-
-
-def _build_cost(sc: Scenario, space: StateSpace) -> CostMatrix:
-    try:
-        if sc.cost_kind == "profile":
-            if sc.cost_profile == "zero_one":
-                return zero_one_cost(len(space))
-            return normalize_cost(
-                distance_to_matrix(_profile_object(sc.cost_profile), space)
-            )
-        entries = sc.cost_matrix
-        if sc.cost_kind == "payoff":
-            entries = tuple(tuple(-v for v in row) for row in entries)
-        return normalize_cost(validate_cost(entries))
-    except CostRiskError as exc:
-        raise ScenarioFieldError("cost", str(exc)) from exc
+    @property
+    def normalized_cost(self) -> CostMatrix:
+        return self.scenario.cost
 
 
-def _estimate_block(
-    name: str,
-    sc: Scenario,
-    post: Posterior,
-    cost: CostMatrix,
-    space: StateSpace,
-) -> dict[str, Any]:
+def _estimate_block(name: str, sc: Scenario) -> dict[str, Any]:
+    post, cost, space = sc.posterior, sc.cost, sc.space
     block: dict[str, Any] = {}
     if name == "mode":
         state = mode_estimate(post)
@@ -324,11 +321,9 @@ def _estimate_block(
     return block
 
 
-def _worst_block(
-    name: str, sc: Scenario, cost: CostMatrix, space: StateSpace
-) -> dict[str, Any]:
+def _worst_block(name: str, sc: Scenario) -> dict[str, Any]:
     search_name = {"mean": "mean_snapped"}.get(name, name)
-    wc: WorstCase = worst_case(search_name, cost, space, sc.search)
+    wc: WorstCase = worst_case(search_name, sc.cost, sc.space, sc.search)
     block: dict[str, Any] = {
         "value": wc.value,
         "witness": list(wc.witness.as_floats()),
@@ -337,52 +332,26 @@ def _worst_block(
         "method": wc.method,
     }
     if name == "mean":
-        block["raw_mean"] = mean_estimate(wc.witness, space)
+        block["raw_mean"] = mean_estimate(wc.witness, sc.space)
     return block
 
 
 def run_scenario(sc: Scenario) -> RiskReport:
-    """Normalize the cost, run the requested estimators, and attach the
-    appropriateness verdicts.
-
-    Module errors are re-raised with the scenario key that caused them.
-    """
-    try:
-        space = StateSpace(sc.states, sc.embedding)
-    except CostRiskError as exc:
-        raise ScenarioFieldError("states", str(exc)) from exc
-    cost = _build_cost(sc, space)
-
-    mode_verdict = check_mode_appropriate(cost)
-    mode_bound = mode_error_lower_bound(cost)
+    """Run the requested estimators on a parsed scenario and attach the
+    appropriateness verdicts; every input was checked by the parser."""
     mean_check = median_check = None
     if sc.cost_profile in ("abs", "squared"):
         profile = _profile_object(sc.cost_profile)
-        mean_check = check_mean_appropriate(profile)
-        median_check = check_median_appropriate(profile)
-
-    estimates: dict[str, dict[str, Any]] = {}
-    post = None
-    for name in sc.estimators:
-        try:
-            if sc.distribution is None:
-                estimates[name] = _worst_block(name, sc, cost, space)
-            else:
-                if post is None:
-                    # one Posterior, so every estimator shares its integer form
-                    post = _posterior(tuple(sc.distribution))
-                estimates[name] = _estimate_block(name, sc, post, cost, space)
-        except CostRiskError as exc:
-            raise ScenarioFieldError("estimators", f"{name}: {exc}") from exc
-
+        mean_check = check_mean_appropriate(profile, sc.cost)
+        median_check = check_median_appropriate(profile, sc.cost)
+    block = _worst_block if sc.posterior is None else _estimate_block
     return RiskReport(
         scenario=sc,
-        normalized_cost=cost,
-        mode_verdict=mode_verdict,
-        mode_bound=mode_bound,
+        mode_verdict=check_mode_appropriate(sc.cost),
+        mode_bound=mode_error_lower_bound(sc.cost),
         mean_check=mean_check,
         median_check=median_check,
-        estimates=estimates,
+        estimates={name: block(name, sc) for name in sc.estimators},
     )
 
 
@@ -507,60 +476,40 @@ def render_report(report: RiskReport, format: str = "text") -> str:
     raise CostRiskError(f"unknown format {format!r}; expected text or json")
 
 
+#: The worked examples shipped with the package, as scenario documents
+#: (each runs the default estimators: all four with an embedding).
+BUILTIN_DOCS: dict[str, dict[str, Any]] = {
+    "coin_game": {
+        "name": "coin_game", "states": ["heads", "tails"],
+        "cost": {"payoff": [[1, -2], [-1, 1]]},
+        "distribution": "worst_case",
+        "search": {"resolution": 1e-3, "refine_iterations": 10},
+    },
+    "two_coin": {
+        "name": "two_coin", "states": ["HH", "HT", "TH", "TT"],
+        "cost": {"matrix": [[0, 0, 1, 1], [0, 0, 2, 1], [1, 2, 0, 1], [1, 1, 1, 0]]},
+        "distribution": "worst_case",
+        "search": {"resolution": 0.05, "refine_iterations": 10},
+    },
+    "three_state_abs": {
+        "name": "three_state_abs", "states": ["0", "1", "2"],
+        "embedding": [0, 1, 2],
+        "cost": {"profile": "abs"},
+        "distribution": "worst_case",
+        "search": {"resolution": 0.01, "refine_iterations": 10},
+    },
+    "zero_class": {
+        "name": "zero_class", "states": ["a", "b", "c"],
+        "cost": {"matrix": [[0, 0, 1], [0, 0, 1], [1, 1, 0]]},
+        "distribution": "worst_case",
+        "search": {"resolution": 0.01, "refine_iterations": 10},
+    },
+}
+
+
 def builtin_scenarios() -> dict[str, Scenario]:
-    """The worked examples shipped with the package."""
-    coin_game = Scenario(
-        name="coin_game",
-        states=("heads", "tails"),
-        embedding=None,
-        cost_kind="payoff",
-        cost_matrix=((1.0, -2.0), (-1.0, 1.0)),
-        cost_profile=None,
-        distribution=None,
-        estimators=("mode", "bayes"),
-        search=SearchConfig(resolution=1e-3, refine_iterations=10),
-    )
-    two_coin = Scenario(
-        name="two_coin",
-        states=("HH", "HT", "TH", "TT"),
-        embedding=None,
-        cost_kind="matrix",
-        cost_matrix=(
-            (0.0, 0.0, 1.0, 1.0),
-            (0.0, 0.0, 2.0, 1.0),
-            (1.0, 2.0, 0.0, 1.0),
-            (1.0, 1.0, 1.0, 0.0),
-        ),
-        cost_profile=None,
-        distribution=None,
-        estimators=("mode", "bayes"),
-        search=SearchConfig(resolution=0.05, refine_iterations=10),
-    )
-    three_state_abs = Scenario(
-        name="three_state_abs",
-        states=("0", "1", "2"),
-        embedding=(0.0, 1.0, 2.0),
-        cost_kind="profile",
-        cost_matrix=None,
-        cost_profile="abs",
-        distribution=None,
-        estimators=("mode", "mean", "median", "bayes"),
-        search=SearchConfig(resolution=0.01, refine_iterations=10),
-    )
-    zero_class = Scenario(
-        name="zero_class",
-        states=("a", "b", "c"),
-        embedding=None,
-        cost_kind="matrix",
-        cost_matrix=((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), (1.0, 1.0, 0.0)),
-        cost_profile=None,
-        distribution=None,
-        estimators=("mode", "bayes"),
-        search=SearchConfig(resolution=0.01, refine_iterations=10),
-    )
-    return {
-        sc.name: sc for sc in (coin_game, two_coin, three_state_abs, zero_class)
-    }
+    """The built-in examples, each parsed from its document."""
+    return {name: scenario_from_dict(doc) for name, doc in BUILTIN_DOCS.items()}
 
 
 def with_search_overrides(

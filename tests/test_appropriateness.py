@@ -393,6 +393,25 @@ class TestMedianCheck:
 
 
 @pytest.mark.parametrize("power", [1, 2, 3, 4])
+def test_realized_cost_with_nothing_to_get_wrong(power):
+    """One or two states, or squared-or-higher distances that all
+    underflow to 0: every power suits both estimators on that matrix;
+    three spread-out states leave the power to decide."""
+    profile = cr.DistanceCost(power)
+    settled = {
+        (0.0,): True,
+        (0.0, 1.0): True,
+        (0.0, 5e-324, 1e-323): power > 1,
+        (0.0, 1.0, 3.0): False,
+    }
+    for embedding, expected in settled.items():
+        space = cr.StateSpace(tuple(f"s{i}" for i in range(len(embedding))), embedding)
+        cost = cr.normalize_cost(cr.distance_to_matrix(profile, space))
+        assert cr.check_mean_appropriate(profile, cost).appropriate == (expected or power == 2)
+        assert cr.check_median_appropriate(profile, cost).appropriate == (expected or power == 1)
+
+
+@pytest.mark.parametrize("power", [1, 2, 3, 4])
 def test_theorem_table(power):
     """Mean only at power 2, median only at power 1, and the verdicts
     match where the expected cost of |d|^power is actually lowest on a

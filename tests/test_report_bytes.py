@@ -38,8 +38,8 @@ def test_builtin_report_bytes(name, fmt, capsys):
 EXPLICIT_KINDS = ("matrix_ties", "matrix_float", "payoff", "abs", "squared", "zero_one")
 
 EXPLICIT_GOLDEN = {
-    "json": "946b2ab16e9fff43b9bb2d7a82895740db829e259ed3c498951b1bb4411430de",
-    "text": "bccb46693a7ee0971335298ea7001a4bd8efd87b85d71bb82bfccf7423d014fd",
+    "json": "a6115f221ef134b50d58b52eab12326cafc63fa33c41632b4f60c2ea9f81e7db",
+    "text": "b40b71e87d114b28572e09be2e8ade974ccbb578250cd69963ad8cf3a2c0e566",
 }
 
 

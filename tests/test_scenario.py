@@ -9,7 +9,7 @@ import pytest
 import costrisk as cr
 from costrisk.adversarial import MAX_STATES
 from costrisk.cli import main
-from costrisk.scenario import SchemaError, ScenarioFieldError, with_search_overrides
+from costrisk.scenario import BUILTIN_DOCS, SchemaError, scenario_from_dict, with_search_overrides
 
 MINIMAL = {
     "name": "minimal",
@@ -51,6 +51,9 @@ class TestParseScenario:
             (lambda d: d.update(estimators=["mode", "mode"]), "$.estimators[1]"),
             (lambda d: d.update(estimators=["mean"]), "$.estimators[0]"),
             (lambda d: d.update(states=["a", "a"]), "$.states"),
+            # StateSpace's own checks, reported at the embedding
+            (lambda d: d.update(embedding=[0.0]), "$.embedding"),
+            (lambda d: d.update(embedding=[1.0, 1.0]), "$.embedding"),
             (lambda d: d.update(search={"resolution": 0.9}), "$.search"),
             (lambda d: d.update(bogus=1), "$.bogus"),
             (lambda d: d.pop("name"), "$.name"),
@@ -69,6 +72,14 @@ class TestParseScenario:
         doc = dict(MINIMAL, distribution=[0.5, 0.500000001])
         report = cr.run_scenario(cr.parse_scenario(as_json(doc)))
         assert report.estimates["mode"]["estimate"] == "b"
+
+    def test_cost_validation_attributed_to_cost(self):
+        # the parser builds the cost, so the diagonal rule is a schema error
+        doc = dict(MINIMAL, cost={"matrix": [[1, 0], [0, 1]]})
+        with pytest.raises(SchemaError) as err:
+            cr.parse_scenario(as_json(doc))
+        assert err.value.path == "$.cost.matrix"
+        assert "diagonal" in err.value.reason
 
     def test_distance_profile_needs_embedding(self):
         doc = dict(MINIMAL, cost={"profile": "abs"})
@@ -103,12 +114,6 @@ class TestRunScenario:
         )
         report = cr.run_scenario(cr.parse_scenario(as_json(doc)))
         assert report.estimates["bayes"]["value"] == 0.0
-
-    def test_runtime_validation_attributed_to_cost(self):
-        doc = dict(MINIMAL, cost={"matrix": [[1, 0], [0, 1]]})
-        with pytest.raises(ScenarioFieldError) as err:
-            cr.run_scenario(cr.parse_scenario(as_json(doc)))
-        assert err.value.key == "cost"
 
     def test_explicit_distribution_blocks(self):
         doc = {
@@ -146,6 +151,31 @@ class TestRunScenario:
         assert report.mean_check == cr.DistanceVerdict(True, 2, 2)
         assert report.estimates["median"]["value"] > 0
 
+    @pytest.mark.parametrize(
+        "embedding, profile",
+        [([0.0], "abs"), ([0.0, 1.0], "abs"), ([0.0, 1.0], "squared"),
+         ([0, 5e-324, 1e-323], "squared")],
+        ids=["n1", "n2_abs", "n2_squared", "underflow"],
+    )
+    def test_profile_verdicts_agree_with_a_zero_worst_case(self, embedding, profile):
+        # one state, two states (a 0-1 cost once normalized), or squared
+        # distances that all underflow to 0: mean and median never overpay
+        doc = {
+            "name": "settled",
+            "states": [f"s{i}" for i in range(len(embedding))],
+            "embedding": embedding,
+            "cost": {"profile": profile},
+            "distribution": "worst_case",
+            "estimators": ["mean", "median"],
+            "search": {"resolution": 0.1},
+        }
+        report = cr.run_scenario(cr.parse_scenario(as_json(doc)))
+        assert report.estimates["mean"]["value"] == report.estimates["median"]["value"] == 0.0
+        assert report.mean_check.appropriate and report.median_check.appropriate
+        text = cr.render_report(report, "text")
+        assert "profile check: inappropriate" not in text
+        assert ("trivial (appropriate)" in text) == (len(embedding) != 2)
+
     def test_unbounded_rendering(self):
         doc = {
             "name": "free_row",
@@ -170,6 +200,18 @@ class TestBuiltins:
             "two_coin",
             "zero_class",
         ]
+
+    def test_builtins_are_documents(self):
+        scenarios = cr.builtin_scenarios()
+        assert list(scenarios) == list(BUILTIN_DOCS)
+        for name, doc in BUILTIN_DOCS.items():
+            assert scenarios[name] == cr.parse_scenario(json.dumps(doc)), name
+        coin = scenarios["coin_game"]
+        assert (coin.cost_kind, coin.embedding) == ("payoff", None)
+        # the payoff as typed, as floats and not negated
+        assert coin.cost_matrix == ((1.0, -2.0), (-1.0, 1.0))
+        assert all(type(v) is float for row in coin.cost_matrix for v in row)
+        assert scenarios["three_state_abs"].embedding == (0.0, 1.0, 2.0)
 
     def test_coin_game_report(self):
         report = cr.run_scenario(cr.builtin_scenarios()["coin_game"])
@@ -264,11 +306,35 @@ class TestCli:
         assert main(["analyze", str(path)]) == 1
         assert "$.distribution" in capsys.readouterr().err
 
-    def test_validation_error_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "changes, key",
+        [
+            ({"cost": {"matrix": [[1, 0], [0, 1]]}}, "$.cost.matrix"),
+            # winnings: the diagonal must be the largest payoff of its column
+            ({"cost": {"payoff": [[0, 1], [1, 0]]}}, "$.cost.payoff"),
+            # the squared distance overflows a double
+            ({"cost": {"profile": "squared"}, "embedding": [-1e200, 1e200]}, "$.cost.profile"),
+        ],
+        ids=["matrix", "payoff", "profile"],
+    )
+    def test_cost_validation_error_exits_1(self, changes, key, tmp_path, capsys):
         path = tmp_path / "invalid.json"
-        path.write_text(as_json(dict(MINIMAL, cost={"matrix": [[1, 0], [0, 1]]})))
-        assert main(["analyze", str(path)]) == 2
-        assert "cost" in capsys.readouterr().err
+        path.write_text(as_json(dict(MINIMAL, **changes)))
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"costrisk: schema error: {key}: ")
+        assert "Traceback" not in err
+
+    def test_builtin_parses_only_its_document(self, monkeypatch, capsys):
+        parsed = []
+
+        def spy(doc):
+            parsed.append(doc["name"])
+            return scenario_from_dict(doc)
+
+        monkeypatch.setattr("costrisk.cli.scenario_from_dict", spy)
+        assert main(["builtin", "zero_class"]) == 0
+        assert parsed == ["zero_class"]
 
     def test_unknown_builtin_exits_1(self, capsys):
         assert main(["builtin", "nope"]) == 1
